@@ -215,8 +215,6 @@ void BM_ScalingTank(benchmark::State& state) {
           ks.window_width_max.to_seconds() * 1e6;
       state.counters["windows_cut_world"] =
           static_cast<double>(ks.windows_cut_world);
-      state.counters["barrier_wait_ms"] =
-          static_cast<double>(ks.barrier_wait_ns) * 1e-6;
       state.counters["serial_fraction"] = ks.serial_fraction();
       state.counters["fanout_batches"] =
           static_cast<double>(ks.fanout_batches);
@@ -274,8 +272,8 @@ class RowReporter final : public benchmark::ConsoleReporter {
       // window/barrier/serial-fraction trajectory survives in the JSON.
       static constexpr const char* kKernelCounters[] = {
           "windows",          "mean_window_us",  "max_window_us",
-          "windows_cut_world", "barrier_wait_ms", "serial_fraction",
-          "fanout_batches",   "fanout_receivers"};
+          "windows_cut_world", "serial_fraction", "fanout_batches",
+          "fanout_receivers"};
       for (const char* counter : kKernelCounters) {
         const auto it = run.counters.find(counter);
         if (it != run.counters.end()) {

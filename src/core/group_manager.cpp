@@ -79,7 +79,7 @@ GroupManager::GroupManager(node::Mote& mote,
                            const std::vector<ContextTypeSpec>& specs,
                            const SenseRegistry& senses,
                            const AggregationRegistry& aggregations,
-                           GroupConfig config)
+                           const GroupConfig& config)
     : mote_(mote),
       specs_(&specs),
       aggregations_(&aggregations),

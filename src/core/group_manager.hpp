@@ -151,11 +151,12 @@ class GroupManager {
   using LabelRetiredFn =
       std::function<void(TypeIndex, LabelId, std::uint64_t epoch)>;
 
-  /// `specs`, `senses`, and `aggregations` are deployment-wide and must
-  /// outlive the manager.
+  /// `specs`, `senses`, `aggregations` and `config` are deployment-wide
+  /// and must outlive the manager.
   GroupManager(node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
                const SenseRegistry& senses,
-               const AggregationRegistry& aggregations, GroupConfig config);
+               const AggregationRegistry& aggregations,
+               const GroupConfig& config);
 
   GroupManager(const GroupManager&) = delete;
   GroupManager& operator=(const GroupManager&) = delete;
@@ -353,7 +354,7 @@ class GroupManager {
   node::Mote& mote_;
   const std::vector<ContextTypeSpec>* specs_;
   const AggregationRegistry* aggregations_;
-  GroupConfig config_;
+  const GroupConfig& config_;
   std::vector<TypeState> state_;
   std::vector<GroupObserver*> observers_;
   LeaderStartFn leader_start_;

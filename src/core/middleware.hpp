@@ -44,6 +44,8 @@ class MiddlewareStack {
   using UserHandler =
       std::function<void(const UserMessagePayload&, NodeId origin)>;
 
+  /// `specs`, `senses`, `aggregations` and `config` are deployment-wide
+  /// (owned by EnviroTrackSystem) and must outlive the stack.
   MiddlewareStack(node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
                   const SenseRegistry& senses,
                   const AggregationRegistry& aggregations, Rect field_bounds,
@@ -89,9 +91,9 @@ class MiddlewareStack {
   void ensure_user_consumer();
 
   node::Mote& mote_;
-  /// Kept for reboot(): the duty-cycle controller is destroyed on crash and
-  /// rebuilt from this config when the node comes back.
-  MiddlewareConfig config_;
+  /// Read again by reboot(): the duty-cycle controller is destroyed on
+  /// crash and rebuilt from this config when the node comes back.
+  const MiddlewareConfig& config_;
   net::GeoRouting routing_;
   GroupManager groups_;
   ContextRuntime runtime_;

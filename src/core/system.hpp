@@ -95,6 +95,8 @@ class EnviroTrackSystem {
   sim::Simulator& sim_;
   env::Environment& env_;
   const env::Field& field_;
+  /// The one copy of the deployment's config: every stack and group manager
+  /// refers to `config_.middleware`, so it is declared before `stacks_`.
   SystemConfig config_;
   /// Constructed before the network so mote construction can ask it for
   /// tile assignment; null on the serial kernels.

@@ -50,7 +50,8 @@ GeoRouting::GeoRouting(node::Mote& mote, RoutingConfig config)
 
 void GeoRouting::on_delivery(radio::MsgType inner_type,
                              DeliveryHandler handler) {
-  auto& slot = delivery_[static_cast<std::size_t>(inner_type)];
+  if (!delivery_) delivery_ = std::make_unique<DeliveryTable>();
+  auto& slot = (*delivery_)[static_cast<std::size_t>(inner_type)];
   assert(!slot && "one consumer per inner type");
   slot = std::move(handler);
 }
@@ -221,8 +222,9 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
 
 void GeoRouting::consume(const RouteEnvelope& envelope) {
   stats_.delivered++;
+  if (!delivery_) return;
   const auto& handler =
-      delivery_[static_cast<std::size_t>(envelope.inner_type)];
+      (*delivery_)[static_cast<std::size_t>(envelope.inner_type)];
   if (handler) handler(envelope);
 }
 

@@ -134,9 +134,13 @@ class GeoRouting {
       Vec2 dest, const std::vector<NodeId>& exclude = {}) const;
   const std::vector<Neighbor>& neighbors() const;
 
+  using DeliveryTable = std::array<DeliveryHandler, radio::kMsgTypeCount>;
+
   node::Mote& mote_;
   RoutingConfig config_;
-  std::array<DeliveryHandler, radio::kMsgTypeCount> delivery_{};
+  /// Allocated by the first on_delivery(); most motes only relay and never
+  /// register a consumer.
+  std::unique_ptr<DeliveryTable> delivery_;
   mutable std::vector<Neighbor> neighbor_cache_;
   mutable bool neighbors_cached_ = false;
   std::uint32_t next_seq_ = 0;

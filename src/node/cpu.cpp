@@ -12,8 +12,12 @@ bool Cpu::post(Duration cost, std::function<void()> fn) {
     stats_.dropped++;
     return false;
   }
-  queue_.push_back(Task{cost, std::move(fn)});
-  if (!running_) start_next();
+  Task task{cost, std::move(fn)};
+  if (running_) {
+    queue_.push_back(std::move(task));
+  } else {
+    run(std::move(task));
+  }
   return true;
 }
 
@@ -22,9 +26,13 @@ void Cpu::start_next() {
     running_ = false;
     return;
   }
-  running_ = true;
   Task task = std::move(queue_.front());
   queue_.pop_front();
+  run(std::move(task));
+}
+
+void Cpu::run(Task task) {
+  running_ = true;
   stats_.busy += task.cost;
   // The task's effects become visible when its service time elapses; the
   // next task then starts immediately (run-to-completion scheduling).

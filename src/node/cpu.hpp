@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "sim/simulator.hpp"
+#include "util/fifo_queue.hpp"
 #include "util/time.hpp"
 
 /// The mote's processor, modelled after the TinyOS run-to-completion task
@@ -68,11 +68,15 @@ class Cpu {
     std::function<void()> fn;
   };
 
+  /// Runs `task` now; when it completes, the next queued task starts.
+  void run(Task task);
   void start_next();
 
   sim::Simulator& sim_;
   CpuConfig config_;
-  std::deque<Task> queue_;
+  /// Tasks waiting behind the running one. A post to an idle CPU starts
+  /// right away and never touches the queue.
+  FifoQueue<Task> queue_;
   bool running_ = false;
   Stats stats_;
 };

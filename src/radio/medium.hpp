@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 #include "radio/packet.hpp"
 #include "radio/stats.hpp"
 #include "sim/simulator.hpp"
+#include "util/fifo_queue.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
 
@@ -264,7 +264,7 @@ class Medium {
   struct Endpoint {
     Vec2 pos;
     Receiver recv;
-    std::deque<Frame> queue;
+    FifoQueue<Frame> queue;
     /// The frame currently on the air, parked here so the completion event
     /// closure stays small enough for the event queue's inline storage.
     std::optional<Frame> in_flight;

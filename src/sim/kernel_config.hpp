@@ -18,10 +18,6 @@ struct KernelConfig {
   /// Spatial tiles per worker thread (more tiles -> finer load balance,
   /// more barrier bookkeeping).
   unsigned tiles_per_thread = 1;
-  /// Unused since tiles became contiguous blocks of the field rectangle
-  /// (the planner needs real tile geometry); kept so existing configs keep
-  /// compiling. Tile count is still threads * tiles_per_thread.
-  double tile_cell_size = 0.0;
   /// Wide-window canonical semantics: sends issued from mote context pay an
   /// explicit MAC-entry (handoff) latency and receptions pay a longer
   /// completion-to-receiver handoff (both multiples of the minimum frame

@@ -285,11 +285,9 @@ void ParallelKernel::run_tile_phase() {
     const std::uint64_t t0 = wall_ns();
     run_pool_phase();
     const std::uint64_t t1 = wall_ns();
-    // The master is blocked for the whole publish-to-join span; tile work
-    // proceeds in parallel during it, so the span is both the tile-phase
-    // wall time and the master's barrier wait.
+    // The master is blocked for the whole publish-to-join span while tile
+    // work proceeds in parallel.
     stats_.tile_phase_ns += t1 - t0;
-    stats_.barrier_wait_ns += t1 - t0;
   }
   // Replay buffered channel ops into the master queue; the heap orders
   // them by canonical key, reproducing serial execution order exactly.

@@ -93,10 +93,9 @@ struct ParallelKernelStats {
   /// Sum and max of executed master-window widths (floor to master bound).
   Duration window_width_total = Duration::zero();
   Duration window_width_max = Duration::zero();
-  /// Wall-clock nanoseconds the master spent blocked at the two barriers
-  /// (publishing work + waiting for the last tile worker).
-  std::uint64_t barrier_wait_ns = 0;
   /// Wall-clock nanoseconds of the parallel tile phase (publish to join).
+  /// The master is blocked at the barriers for exactly this span, so it is
+  /// also the master's barrier wait.
   std::uint64_t tile_phase_ns = 0;
   /// Wall-clock nanoseconds of the serial master phase (op replay + channel
   /// + world events).

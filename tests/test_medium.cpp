@@ -210,6 +210,48 @@ TEST_F(MediumTest, QueueOverflowDropsFrames) {
   EXPECT_EQ(stats.offered, stats.transmitted + stats.mac_dropped);
 }
 
+class TaggedPayload final : public Payload {
+ public:
+  explicit TaggedPayload(int id) : id(id) {}
+  std::size_t size_bytes() const override { return 200; }
+  const int id;
+};
+
+TEST_F(MediumTest, BackedUpQueueDrainsInSendOrderAndDropsNewest) {
+  RadioConfig config = lossless();
+  config.tx_queue_capacity = 16;
+  Medium& m = make(config);
+  std::vector<int> heard;
+  m.attach(NodeId{0}, {0.0, 0.0}, [](const Frame&) {});
+  m.attach(NodeId{1}, {1.0, 0.0}, [&heard](const Frame& frame) {
+    heard.push_back(static_cast<const TaggedPayload&>(*frame.payload).id);
+  });
+  std::vector<int> accepted;
+  std::vector<int> dropped;
+  int next_id = 0;
+  auto send = [&](int count) {
+    for (int k = 0; k < count; ++k) {
+      const int id = next_id++;
+      const std::uint64_t before = m.stats().of(MsgType::kUser).mac_dropped;
+      m.send(Frame{NodeId{0}, NodeId{1}, MsgType::kUser,
+                   std::make_shared<TaggedPayload>(id)});
+      const bool lost = m.stats().of(MsgType::kUser).mac_dropped != before;
+      (lost ? dropped : accepted).push_back(id);
+    }
+  };
+  // Frame 0 goes on the air at once, 1-16 fill the queue, 17-19 overflow.
+  send(20);
+  EXPECT_EQ(dropped, (std::vector<int>{17, 18, 19}));
+  // A few frames drain, so the refill wraps around the queue's storage.
+  sim.run_for(Duration::millis(100));
+  ASSERT_GE(heard.size(), 2u);
+  send(static_cast<int>(heard.size()) + 3);
+  sim.run_for(Duration::seconds(2));
+  EXPECT_EQ(heard, accepted);
+  EXPECT_EQ(dropped.size(), 6u);
+  EXPECT_EQ(dropped.back(), next_id - 1);  // the newest frame is the one lost
+}
+
 TEST_F(MediumTest, NeighborsAndRangeQueries) {
   RadioConfig config = lossless();
   config.comm_radius = 2.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "node/network.hpp"
 
 namespace et::node {
@@ -56,6 +59,35 @@ TEST_F(NodeTest, CpuQueueOverflowDrops) {
   EXPECT_EQ(executed, 3);
   EXPECT_EQ(cpu.stats().dropped, 3u);
   EXPECT_EQ(cpu.stats().posted, 6u);
+}
+
+TEST_F(NodeTest, CpuQueueKeepsPostOrderThroughGrowthAndWrapAround) {
+  Cpu cpu(sim, CpuConfig{Duration::millis(10), Duration::millis(5), 64});
+  std::vector<int> accepted;
+  std::vector<int> order;
+  int next_id = 0;
+  auto post = [&] {
+    const int id = next_id++;
+    if (cpu.post(Duration::millis(10), [&order, id] { order.push_back(id); })) {
+      accepted.push_back(id);
+    }
+  };
+  // Three posts per completed task: the backlog grows by about two a round,
+  // so every doubling of the queue's storage happens with its head away
+  // from the first slot, until the 64 waiting tasks fill it.
+  std::size_t max_depth = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 3; ++k) post();
+    max_depth = std::max(max_depth, cpu.queue_depth());
+    sim.run_for(Duration::millis(10));
+  }
+  EXPECT_EQ(max_depth, 64u);
+  EXPECT_GT(cpu.stats().dropped, 0u);
+  sim.run_for(Duration::seconds(10));
+  EXPECT_EQ(order, accepted);
+  EXPECT_EQ(cpu.stats().executed + cpu.stats().dropped, cpu.stats().posted);
+  EXPECT_EQ(cpu.queue_depth(), 0u);
+  EXPECT_FALSE(cpu.busy());
 }
 
 TEST_F(NodeTest, CpuTasksSeeEffectsAfterServiceTime) {
