@@ -205,6 +205,12 @@ radio::BurstLossConfig twenty_pct_loss() {
 /// 40 s, through the burst-loss channel. Delivered fraction = method
 /// dispatches at the station / invokes issued at the blob leader. The
 /// only difference between the two configs is TransportConfig::reliable.
+///
+/// Unlike the other sweeps this one ignores ET_KERNEL and always runs the
+/// default legacy-order kernel: its reliable-beats-fire-and-forget gate
+/// has only been judged on that order. On the canonical order the gate
+/// fails on the CI seed (reliable 0.794 vs fire-and-forget 0.956;
+/// EXPERIMENTS.md, "Acked transport vs fire-and-forget").
 DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
   sim::Simulator sim(seed);
   env::Environment env(sim.make_rng("env"));

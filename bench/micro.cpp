@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "etl/compiler.hpp"
 #include "etl/parser.hpp"
 #include "scenario/tank.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -165,78 +163,6 @@ BENCHMARK(BM_DenseBroadcast)
     ->ArgsProduct({{100, 1000, 5000}, {0, 1}})
     ->ArgNames({"n", "index"});
 
-/// Large-world scaling: N motes (squarest rows x cols factorisation), the
-/// tank crossing the middle band, two simulated seconds per measurement.
-/// threads:0 is the serial canonical oracle; threads:k runs the tiled
-/// parallel kernel. Reported as sim-seconds per wall-second; the reporter
-/// derives speedup_vs_serial rows from the threads:0 baseline.
-void BM_ScalingTank(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const bool wide = state.range(2) != 0;
-  constexpr double kSimSeconds = 2.0;
-  std::size_t rows = 1, cols = n;
-  for (auto r = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
-       r >= 1; --r) {
-    if (n % r == 0) {
-      rows = r;
-      cols = n / r;
-      break;
-    }
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    scenario::TankScenarioParams params;
-    params.rows = rows;
-    params.cols = cols;
-    params.track_y = rows / 2.0;
-    params.speed_hops_per_s = 5.0;
-    // The ground-truth monitor scans all N stacks per sample (serial);
-    // sample sparsely so the kernel, not the instrumentation, is measured.
-    params.coherence_sample_period = Duration::seconds(1);
-    params.kernel.canonical_order = true;
-    params.kernel.wide_windows = wide;
-    if (threads > 0) {
-      params.kernel.use_parallel_kernel = true;
-      params.kernel.threads = threads;
-    }
-    auto tank = std::make_unique<scenario::TankScenario>(params);
-    state.ResumeTiming();
-    tank->run_for(Duration::seconds(kSimSeconds));
-    state.PauseTiming();
-    // Kernel telemetry: how many barrier windows the run executed, how wide
-    // they were, and where the wall time went. The serial-fraction counter
-    // is the measured Amdahl bound of this configuration.
-    if (sim::ParallelKernel* kernel = tank->system().kernel()) {
-      const sim::ParallelKernelStats& ks = kernel->stats();
-      state.counters["windows"] = static_cast<double>(ks.windows);
-      state.counters["mean_window_us"] = ks.mean_window_width_us();
-      state.counters["max_window_us"] =
-          ks.window_width_max.to_seconds() * 1e6;
-      state.counters["windows_cut_world"] =
-          static_cast<double>(ks.windows_cut_world);
-      state.counters["serial_fraction"] = ks.serial_fraction();
-      state.counters["fanout_batches"] =
-          static_cast<double>(ks.fanout_batches);
-      state.counters["fanout_receivers"] =
-          static_cast<double>(ks.fanout_receivers);
-    }
-    tank.reset();  // teardown of N motes stays outside the measurement
-    state.ResumeTiming();
-  }
-  state.counters["sim_sps"] = benchmark::Counter(
-      kSimSeconds * state.iterations(), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ScalingTank)
-    ->ArgsProduct({{10000, 50000, 100000}, {0, 1, 2, 4, 8}, {1}})
-    // One narrow-window row: the global-min-airtime baseline the wide
-    // planner's window count is compared against.
-    ->Args({50000, 2, 0})
-    ->ArgNames({"n", "threads", "wide"})
-    ->UseRealTime()
-    ->Unit(benchmark::kSecond)
-    ->Iterations(1);
-
 void BM_TankScenarioSecond(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
@@ -268,39 +194,6 @@ class RowReporter final : public benchmark::ConsoleReporter {
         rows_.add(run.benchmark_name(), 0, "items_per_second",
                   static_cast<double>(items->second));
       }
-      // Kernel telemetry counters (BM_ScalingTank): one row each, so the
-      // window/barrier/serial-fraction trajectory survives in the JSON.
-      static constexpr const char* kKernelCounters[] = {
-          "windows",          "mean_window_us",  "max_window_us",
-          "windows_cut_world", "serial_fraction", "fanout_batches",
-          "fanout_receivers"};
-      for (const char* counter : kKernelCounters) {
-        const auto it = run.counters.find(counter);
-        if (it != run.counters.end()) {
-          rows_.add(run.benchmark_name(), 0, counter,
-                    static_cast<double>(it->second));
-        }
-      }
-      const auto sps = run.counters.find("sim_sps");
-      if (sps != run.counters.end()) {
-        const std::string name = run.benchmark_name();
-        rows_.add(name, 0, "sim_seconds_per_second",
-                  static_cast<double>(sps->second));
-        // threads:0 is the serial oracle baseline for its world size; every
-        // later threads:k run of the same size gets a speedup row.
-        const auto pos = name.find("threads:");
-        if (pos == std::string::npos) continue;
-        const std::string size_key = name.substr(0, pos);
-        const bool is_serial = name.compare(pos + 8, 2, "0/") == 0 ||
-                               name.compare(pos + 8, std::string::npos, "0") == 0;
-        if (is_serial) {
-          serial_rate_[size_key] = static_cast<double>(sps->second);
-        } else if (const auto it = serial_rate_.find(size_key);
-                   it != serial_rate_.end() && it->second > 0) {
-          rows_.add(name, 0, "speedup_vs_serial",
-                    static_cast<double>(sps->second) / it->second);
-        }
-      }
     }
   }
 
@@ -308,7 +201,6 @@ class RowReporter final : public benchmark::ConsoleReporter {
 
  private:
   et::bench::JsonRows rows_;
-  std::map<std::string, double> serial_rate_;
 };
 
 }  // namespace

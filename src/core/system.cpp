@@ -58,17 +58,14 @@ EnviroTrackSystem::EnviroTrackSystem(sim::Simulator& sim,
     } else {
       sim_.enable_canonical(std::move(counters));
     }
-    // The medium resolves the handoff latencies (they depend on the
-    // wide-window flag); the kernel's window plan then mirrors them.
-    medium_.enable_canonical(
-        [this](NodeId id) -> sim::Simulator& {
-          return network_.mote(id).sim();
-        },
-        config_.kernel.wide_windows);
+    // The medium resolves the handoff latencies from its RadioConfig; the
+    // kernel's window plan then mirrors them.
+    medium_.enable_canonical([this](NodeId id) -> sim::Simulator& {
+      return network_.mote(id).sim();
+    });
     if (kernel_) {
       sim::WindowPlan plan;
       plan.min_airtime = medium_.min_airtime();
-      plan.wide = config_.kernel.wide_windows;
       plan.tx_handoff = medium_.tx_handoff();
       plan.rx_handoff = medium_.rx_latency();
       plan.hop_radius = config_.radio.comm_radius;

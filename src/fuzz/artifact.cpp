@@ -66,7 +66,6 @@ scenario::TankScenarioParams FuzzScenario::to_params(
   params.report_period = report_period;
   params.cooldown = cooldown;
   params.kernel = kernel;
-  params.kernel.wide_windows = wide_windows;
   params.seed = seed;
   return params;
 }
@@ -81,7 +80,6 @@ util::Json FuzzScenario::to_json() const {
   doc.set("duty_cycle_awake_fraction", duty_cycle_awake_fraction);
   doc.set("ge_loss", ge_loss);
   doc.set("reliable_transport", reliable_transport);
-  doc.set("wide_windows", wide_windows);
   doc.set("report_period_us", report_period.to_micros());
   doc.set("cooldown_us", cooldown.to_micros());
   doc.set("harass", harass);
@@ -124,7 +122,13 @@ Expected<FuzzScenario> FuzzScenario::from_json(const util::Json& doc) {
   }
   s.ge_loss = doc["ge_loss"].as_bool(false);
   s.reliable_transport = doc["reliable_transport"].as_bool(false);
-  s.wide_windows = doc["wide_windows"].as_bool(true);
+  // Artifacts once carried a window-mode key. A narrow-window repro must
+  // not silently replay under the wide semantics, so it is refused.
+  if (!doc["wide_windows"].as_bool(true)) {
+    return scenario_fail(
+        "wide_windows=false: the narrow-window mode was removed, so this "
+        "repro cannot replay under the semantics it was recorded with");
+  }
   if (!read_duration_us(doc, "report_period_us", &s.report_period) ||
       !s.report_period.is_positive()) {
     return scenario_fail("report_period_us must be a positive integer");

@@ -37,8 +37,6 @@ struct FuzzScenario {
   bool ge_loss = false;
   /// Reliable (acked) transport under the report path.
   bool reliable_transport = false;
-  /// Wide-window canonical semantics (the differential covers both modes).
-  bool wide_windows = true;
   Duration report_period = Duration::seconds(1);
   Duration cooldown = Duration::seconds(3);
   /// Dynamic leader harassment (crash whoever currently leads), layered on

@@ -76,7 +76,10 @@ ReproArtifact generate_artifact(std::uint64_t seed,
                                     : 1.0;
   s.ge_loss = scenario_rng.chance(config.p_ge_loss);
   s.reliable_transport = scenario_rng.chance(config.p_reliable_transport);
-  s.wide_windows = scenario_rng.chance(config.p_wide_windows);
+  // The draw that once sampled the removed window mode. Kept so that a
+  // seed still regenerates the scenario it always did (fuzz campaigns and
+  // CI's fixed-seed smoke are identified by their seeds).
+  scenario_rng.chance(0.5);
   s.harass = scenario_rng.chance(config.p_harass);
   if (s.harass) {
     s.harass_period = sample_duration(scenario_rng, 2.0, 5.0);

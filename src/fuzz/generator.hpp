@@ -7,7 +7,7 @@
 /// Seeded chaos-trial generation.
 ///
 /// `generate_artifact(seed)` samples one randomized scenario (grid shape,
-/// target speed, heartbeat period, duty cycle, channel model, window mode)
+/// target speed, heartbeat period, duty cycle, channel model)
 /// plus a fault plan of composed, overlapping faults (crash/reboot, radio
 /// blackouts, sensor dropouts, burst partitions, leader harassment) with
 /// randomized timing and victim sets. The artifact is a pure function of
@@ -28,7 +28,6 @@ struct GeneratorConfig {
   double p_reliable_transport = 0.35;
   double p_duty_cycle = 0.3;
   double p_harass = 0.35;
-  double p_wide_windows = 0.5;
 };
 
 ReproArtifact generate_artifact(std::uint64_t seed,

@@ -56,22 +56,16 @@ Duration Medium::min_airtime() const {
                            config_.bitrate_bps);
 }
 
-void Medium::enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of,
-                              bool wide_windows) {
+void Medium::enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of) {
   assert(sim_of);
   canonical_ = true;
   sim_of_ = std::move(sim_of);
+  // Both latencies are multiples of the minimum airtime. rx below one
+  // airtime would break the kernel's conservative floor, so it clamps; a
+  // negative MAC handoff is meaningless.
   const Duration airtime = min_airtime();
-  if (wide_windows) {
-    // Wide-window semantics: both latencies are multiples of the minimum
-    // airtime. rx below one airtime would break the kernel's conservative
-    // floor, so it clamps; a negative MAC handoff is meaningless.
-    rx_latency_ = airtime * std::max(1.0, config_.rx_handoff_airtimes);
-    tx_handoff_ = airtime * std::max(0.0, config_.mac_handoff_airtimes);
-  } else {
-    rx_latency_ = airtime;
-    tx_handoff_ = Duration::zero();
-  }
+  rx_latency_ = airtime * std::max(1.0, config_.rx_handoff_airtimes);
+  tx_handoff_ = airtime * std::max(0.0, config_.mac_handoff_airtimes);
   assert(rx_latency_.is_positive());
 }
 
@@ -152,9 +146,9 @@ void Medium::send(Frame frame) {
     // Mote context may be running on a tile thread; hand the whole MAC
     // entry (stats included) over as a channel op so all medium state stays
     // master-confined and ops replay in canonical issue order. The op is
-    // keyed tx_handoff() after the send — the wide-window MAC-entry
-    // latency (zero in narrow mode) — and flagged as a send so the window
-    // planner can track it as a pending transmission source.
+    // keyed tx_handoff() after the send — the MAC-entry latency — and
+    // flagged as a send so the window planner can track it as a pending
+    // transmission source.
     sim_.post_radio_op(tx_handoff_, [this, frame = std::move(frame)]() mutable {
       send_now(std::move(frame));
     });

@@ -83,17 +83,15 @@ struct RadioConfig {
   int max_backoff_attempts = 8;
   /// Outgoing frame queue per node; overflow drops the newest frame.
   std::size_t tx_queue_capacity = 16;
-  /// Wide-window canonical semantics (see KernelConfig::wide_windows): the
-  /// latency between a mote handing a frame to the radio stack and the MAC
-  /// taking it over (serialising the frame into the transceiver FIFO), as a
-  /// multiple of the minimum frame airtime. Only applied in canonical
-  /// order with wide windows on; the serial oracle and the parallel kernel
-  /// apply it identically.
+  /// Canonical order (see KernelConfig): the latency between a mote handing
+  /// a frame to the radio stack and the MAC taking it over (serialising the
+  /// frame into the transceiver FIFO), as a multiple of the minimum frame
+  /// airtime. The serial oracle and the parallel kernel apply it
+  /// identically; the legacy order ignores it.
   double mac_handoff_airtimes = 2.0;
-  /// Completion-to-receiver handoff latency (FIFO drain + rx dispatch) as a
-  /// multiple of the minimum frame airtime, wide-window canonical mode.
-  /// Narrow canonical mode always uses exactly one airtime (the original
-  /// conservative lookahead); values below 1 are clamped to 1.
+  /// Canonical order: completion-to-receiver handoff latency (FIFO drain +
+  /// rx dispatch) as a multiple of the minimum frame airtime. Values below
+  /// 1 are clamped to 1, the parallel kernel's conservative lookahead.
   double rx_handoff_airtimes = 3.0;
   /// Broadcasts with at least this many candidate receivers are sampled on
   /// the parallel kernel's worker pool (sharded by receiving tile) instead
@@ -112,9 +110,9 @@ class Medium {
  public:
   /// Invoked when a frame is successfully received by a node. In the legacy
   /// event order it runs at the simulated instant the last bit arrives; in
-  /// canonical order (see enable_canonical) it runs one minimum airtime
-  /// later — the fixed rx-handoff latency that gives the parallel kernel
-  /// its conservative lookahead.
+  /// canonical order (see enable_canonical) it runs rx_latency() later —
+  /// the rx-handoff latency that gives the parallel kernel its
+  /// conservative lookahead.
   using Receiver = std::function<void(const Frame&)>;
 
   Medium(sim::Simulator& sim, RadioConfig config);
@@ -133,15 +131,12 @@ class Medium {
   /// handed to the receiver's simulator (`sim_of`) rx_latency() after the
   /// transmission completes. Used by both the serial canonical oracle
   /// (sim_of returns the master) and the parallel kernel (sim_of returns
-  /// the receiver's tile). With `wide_windows` the MAC-handoff and
-  /// rx-handoff latencies from RadioConfig apply (identically on both
-  /// engines); off keeps the original semantics: zero MAC entry latency
-  /// and exactly one min_airtime() of rx handoff.
-  void enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of,
-                        bool wide_windows = false);
+  /// the receiver's tile). The MAC-handoff and rx-handoff latencies from
+  /// RadioConfig apply, identically on both engines.
+  void enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of);
 
   /// Latency between a mote-context send() and the MAC accepting the frame
-  /// (canonical order; zero unless wide windows are on).
+  /// (canonical order).
   Duration tx_handoff() const { return tx_handoff_; }
   /// Completion-to-receiver handoff latency (canonical order).
   Duration rx_latency() const { return rx_latency_; }
@@ -374,7 +369,7 @@ class Medium {
   /// Completion-to-receiver handoff latency in canonical order
   /// (>= min_airtime(); zero in legacy mode).
   Duration rx_latency_ = Duration::zero();
-  /// Mote-send to MAC-entry latency (wide-window canonical order only).
+  /// Mote-send to MAC-entry latency (canonical order only).
   Duration tx_handoff_ = Duration::zero();
   FanoutExec fanout_exec_;
   /// Scheduled backoff/turnaround wakeups as (fire time, endpoint index);

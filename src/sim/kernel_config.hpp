@@ -2,6 +2,14 @@
 
 /// Kernel selection knobs, shared by scenario params and SystemConfig.
 /// Lives apart from sim/parallel.hpp so configs don't drag in <thread>.
+///
+/// Canonical order has one window semantics: sends issued from mote context
+/// pay an explicit MAC-entry (handoff) latency and receptions pay a longer
+/// completion-to-receiver handoff (both multiples of the minimum frame
+/// airtime, see RadioConfig), and the parallel kernel plans adaptive
+/// per-tile window bounds from a tile-pair lookahead matrix. The serial
+/// canonical oracle applies the identical latencies, so serial and parallel
+/// stay bit-exact.
 namespace et::sim {
 
 struct KernelConfig {
@@ -18,16 +26,6 @@ struct KernelConfig {
   /// Spatial tiles per worker thread (more tiles -> finer load balance,
   /// more barrier bookkeeping).
   unsigned tiles_per_thread = 1;
-  /// Wide-window canonical semantics: sends issued from mote context pay an
-  /// explicit MAC-entry (handoff) latency and receptions pay a longer
-  /// completion-to-receiver handoff (both multiples of the minimum frame
-  /// airtime, see RadioConfig), and the parallel kernel plans adaptive
-  /// per-tile window bounds from a tile-pair lookahead matrix instead of
-  /// cutting every window at the global minimum airtime. The serial
-  /// canonical oracle applies the identical latencies, so serial and
-  /// parallel stay bit-exact either way. Off reproduces the original
-  /// fixed-lookahead windows (the global-min-airtime baseline).
-  bool wide_windows = true;
 
   bool canonical() const { return use_parallel_kernel || canonical_order; }
 };

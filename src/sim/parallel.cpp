@@ -157,7 +157,7 @@ std::vector<Simulator*> ParallelKernel::all_sims() {
 void ParallelKernel::finalize(WindowPlan plan) {
   assert(plan.min_airtime.is_positive() &&
          "lookahead must come from the medium");
-  assert(!plan.wide || plan.rx_handoff >= plan.min_airtime);
+  assert(plan.rx_handoff >= plan.min_airtime);
   plan_ = std::move(plan);
   plan_valid_ = true;
   hop_cycle_ = plan_.tx_handoff + plan_.min_airtime + plan_.rx_handoff;
@@ -306,13 +306,6 @@ void ParallelKernel::run_tile_phase() {
 Time ParallelKernel::plan_tile_ends(Time deadline) {
   const std::size_t n = tiles_.size();
   const Time hard_cap = deadline + Duration::micros(1);
-  if (!plan_.wide) {
-    // Narrow mode: the original global-min-airtime window for everyone.
-    const Time end = std::min(floor_ + plan_.min_airtime, hard_cap);
-    for (std::size_t j = 0; j < n; ++j) tile_ends_[j] = end;
-    return end;
-  }
-
   Time cap = floor_ + plan_.window_cap;
   if (cap > hard_cap) cap = hard_cap;
   for (std::size_t j = 0; j < n; ++j) tile_ends_[j] = cap;
@@ -367,8 +360,9 @@ Time ParallelKernel::plan_tile_ends(Time deadline) {
     }
   }
 
-  // Safety floor: the fixed-lookahead window is always admissible, so the
-  // planner never does worse than the narrow kernel.
+  // Safety floor: the rx handoff is at least one airtime, so nothing the
+  // master executes at or after the floor reaches a tile before floor + δ;
+  // that window is always admissible.
   const Time safety = floor_ + plan_.min_airtime;
   Time e_min = hard_cap;
   for (std::size_t j = 0; j < n; ++j) {

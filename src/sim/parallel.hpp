@@ -25,11 +25,8 @@
 /// medium and all world machinery (scenario drivers, environment, fault
 /// injection, monitors) stay on the master simulator.
 ///
-/// Synchronization is a barrier-window scheme. With wide windows off the
-/// lookahead is the global minimum frame airtime `δ` — every window is cut
-/// `δ` after its floor (see the correctness argument below). With wide
-/// windows on, the planner instead derives one bound per tile and per
-/// round from the actual constraint sources:
+/// Synchronization is a barrier-window scheme. The planner derives one
+/// bound per tile and per round from the actual constraint sources:
 ///
 ///   - every other tile's earliest pending event, pushed through the
 ///     tile-pair lookahead matrix δ(i, j): anything tile i does this round
@@ -43,12 +40,13 @@
 ///     (backoff expiries, turnaround gaps), positioned point sources the
 ///     medium reports each round.
 ///
-/// The per-tile bound is the minimum over those sources, never below the
-/// `δ` floor (the old proof is the safety net) and never past the next
-/// world event, the run deadline, or a configurable cap. The master runs
-/// to the *minimum* tile bound — it must not outrun any tile, or ops
-/// replayed later could land in its past. Tiles whose bound regressed
-/// simply no-op for a round. Each window runs in three steps:
+/// The per-tile bound is the minimum over those sources, never below
+/// floor + `δ` (the rx handoff is at least one minimum frame airtime `δ`,
+/// so no reception can land sooner) and never past the next world event,
+/// the run deadline, or a configurable cap. The master runs to the
+/// *minimum* tile bound — it must not outrun any tile, or ops replayed
+/// later could land in its past. Tiles whose bound regressed simply no-op
+/// for a round. Each window runs in three steps:
 ///
 ///   1. tile phase (parallel): every tile runs its events up to its own
 ///      bound, buffering channel ops (sends, receiver toggles, journal
@@ -72,7 +70,7 @@
 /// observe state from events with larger keys, the interleaved execution
 /// is a permutation-free replay of the serial order: same seed ⇒ identical
 /// per-mote event order, RNG draws, metrics, and bench rows, for any
-/// thread or tile count, with wide windows on or off.
+/// thread or tile count.
 namespace et::sim {
 
 /// Measured behaviour of one parallel run: how many barrier windows were
@@ -123,12 +121,9 @@ struct ParallelKernelStats {
 /// the medium exists. All latencies must match what the medium actually
 /// applies (the kernel asserts the basics).
 struct WindowPlan {
-  /// Minimum frame airtime `δ` — the narrow-mode lookahead and the wide
-  /// mode's safety floor. Strictly positive.
+  /// Minimum frame airtime `δ` — the planner's safety floor. Strictly
+  /// positive.
   Duration min_airtime = Duration::zero();
-  /// Plan adaptive per-tile bounds (KernelConfig::wide_windows). Off
-  /// reproduces the fixed `floor + δ` windows exactly.
-  bool wide = false;
   /// Mote-send to MAC-entry latency (Medium::tx_handoff()).
   Duration tx_handoff = Duration::zero();
   /// Completion-to-receiver handoff latency (Medium::rx_latency()).
@@ -219,9 +214,8 @@ class ParallelKernel {
   /// master queue in tile order.
   void run_tile_phase();
   /// Fills tile_ends_ with each tile's exclusive window end for the next
-  /// round (wide mode: adaptive from the constraint sources; narrow mode:
-  /// floor + δ for everyone), clamped to [floor + δ, floor + cap] and to
-  /// the deadline. Returns the minimum end.
+  /// round, planned from the constraint sources and clamped to
+  /// [floor + δ, floor + cap] and to the deadline. Returns the minimum end.
   Time plan_tile_ends(Time deadline);
   /// Publishes a phase to the pool and joins it (shared by the tile phase
   /// and run_fanout). The caller has set up tile_bounds_ or the fanout

@@ -194,10 +194,10 @@ class Simulator {
   void post_op(Callback fn);
 
   /// post_op() for radio-entry side effects: the op is keyed `entry_delay`
-  /// after the ambient now (the MAC-handoff latency of wide-window
-  /// canonical mode) and marked `is_send`, so the parallel kernel's window
-  /// planner can treat it as a pending-transmission constraint source. In
-  /// legacy mode it runs inline like post_op().
+  /// after the ambient now (the canonical MAC-handoff latency) and marked
+  /// `is_send`, so the parallel kernel's window planner can treat it as a
+  /// pending-transmission constraint source. In legacy mode it runs inline
+  /// like post_op().
   void post_radio_op(Duration entry_delay, Callback fn);
 
   /// Master-side notification for radio ops that bypass the tile outboxes
