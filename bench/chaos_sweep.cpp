@@ -205,12 +205,6 @@ radio::BurstLossConfig twenty_pct_loss() {
 /// 40 s, through the burst-loss channel. Delivered fraction = method
 /// dispatches at the station / invokes issued at the blob leader. The
 /// only difference between the two configs is TransportConfig::reliable.
-///
-/// Unlike the other sweeps this one ignores ET_KERNEL and always runs the
-/// default legacy-order kernel: its reliable-beats-fire-and-forget gate
-/// has only been judged on that order. On the canonical order the gate
-/// fails on the CI seed (reliable 0.794 vs fire-and-forget 0.956;
-/// EXPERIMENTS.md, "Acked transport vs fire-and-forget").
 DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
   sim::Simulator sim(seed);
   env::Environment env(sim.make_rng("env"));
@@ -232,6 +226,7 @@ DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
   config.middleware.transport.reliable = reliable;
   config.middleware.group.suppression_radius = 2.4;
   config.middleware.group.wait_radius = 2.7;
+  config.kernel = bench::kernel_from_env();
   core::EnviroTrackSystem system(sim, env, field, config);
   system.senses().add("blob_sensor", core::sense_target("blob"));
   system.senses().add("station_sensor", core::sense_target("station"));
@@ -289,7 +284,7 @@ DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
   station.emissions["magnetic"] = 5.0;
   env.add_target(std::move(station));
 
-  sim.run_for(Duration::seconds(6));  // group + directory warm-up
+  system.run_for(Duration::seconds(6));  // group + directory warm-up
 
   // Lowest-id current leader of a type. Under burst loss a group briefly
   // shows two leaders mid-handoff; demanding a *sole* leader would skip
@@ -315,16 +310,20 @@ DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
     }
     const auto origin = first_leader(blob_type);
     if (origin && station_label.is_valid()) {
+      // The invoke schedules mote-side work from outside any event;
+      // attribute it to the origin so its keys match on every kernel.
+      sim::ExecutingOwnerScope scope(
+          sim, static_cast<std::uint32_t>(origin->value()));
       system.stack(*origin).transport()->invoke(
           station_type, station_label, PortId{0},
           {static_cast<double>(step)});
       ++attempted;
     }
-    sim.run_for(Duration::millis(250));
+    system.run_for(Duration::millis(250));
   }
   // Drain in-flight retransmits: the full backoff ladder on a 1.2 s base
   // runs past 20 s worst case.
-  sim.run_for(Duration::seconds(15));
+  system.run_for(Duration::seconds(15));
 
   DeliveryPoint point;
   point.attempted = static_cast<double>(attempted);

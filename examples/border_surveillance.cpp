@@ -80,7 +80,6 @@ int main() {
   // Low-power-listening style persistence: per-hop retransmissions span a
   // whole duty cycle, so a sleeping relay is retried once it wakes.
   config.middleware.routing.hop_attempts = 10;
-  config.middleware.routing.ack_timeout = Duration::millis(150);
   core::EnviroTrackSystem system(sim, environment, field, config);
   system.senses().add("intruder_detector", core::sense_target("watcher"));
 

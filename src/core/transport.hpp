@@ -46,12 +46,16 @@ struct TransportConfig {
   bool reliable = true;
   /// Retransmissions after the initial send before the transfer fails.
   int max_retries = 4;
-  /// Initial retransmit timeout; doubles on every retry. Must exceed the
+  /// Initial retransmit timeout; doubles on every retry. Should exceed the
   /// worst-case geo-routed round trip INCLUDING the per-hop ARQ backoff
-  /// ladder (~0.6 s per lossy hop), or the end-to-end layer retransmits
-  /// while the network layer is still trying — every premature copy is a
-  /// fresh routed envelope, and under burst loss that amplification
-  /// congests the channel the original frame needed to get through.
+  /// ladder, or the end-to-end layer retransmits while the network layer
+  /// is still trying — every premature copy is a fresh routed envelope,
+  /// and under burst loss that amplification congests the channel the
+  /// original frame needed to get through. With the default RoutingConfig
+  /// one lossy hop's ladder alone takes about 1.05-1.6 s (150, 300 and
+  /// 600 ms ack timeouts, each plus up to 50% jitter), so this first
+  /// timeout fires before a hop that exhausts its ladder gives up; the
+  /// doubling covers the later retries.
   Duration retry_timeout = Duration::millis(1200);
   /// Uniform jitter fraction added to every retransmit delay (timeout *
   /// [1, 1 + jitter]), drawn from the mote's deterministic RNG stream so

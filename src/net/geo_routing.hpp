@@ -40,8 +40,12 @@ struct RouteEnvelope {
 struct RoutingConfig {
   /// Per-hop transmissions before giving up on a link (1 = no retry).
   int hop_attempts = 3;
-  /// How long to wait for the next hop's ack before retrying.
-  Duration ack_timeout = Duration::millis(60);
+  /// How long to wait for the next hop's ack before retrying. Must exceed a
+  /// hop round trip under MAC queueing (frame and ack each wait behind the
+  /// queued frames of their sender): a shorter timeout turns every late ack
+  /// into a retry plus fallback relays, and under the reliable transport
+  /// that extra traffic is what backs the queues up further.
+  Duration ack_timeout = Duration::millis(150);
   /// Ack-timeout multiplier per successive attempt of the same hop. A flat
   /// retry cadence melts down under load: when the MAC queue backs up, the
   /// queueing delay alone exceeds the timeout, every healthy link looks
