@@ -152,7 +152,7 @@ int main() {
   }
 
   std::printf(
-      "\n  expected: several-fold more bits/energy for direct reporting at\n"
-      "  comparable tracking error.\n");
+      "\n  expected: about twice the bits on air for direct reporting at\n"
+      "  comparable tracking error; energy is listen-dominated and similar.\n");
   return 0;
 }

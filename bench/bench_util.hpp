@@ -12,22 +12,26 @@
 namespace et::bench {
 
 /// Parses an ET_KERNEL-style kernel selector into `*kernel`:
-///   ""          / "legacy"  -> legacy serial engine (the seed's order)
-///   "serial"                -> canonical-order serial oracle
-///   "parallel"              -> tiled parallel kernel, default threads
-///   "parallel:N"            -> tiled parallel kernel, N worker threads
+///   "" / "serial"  -> serial kernel
+///   "parallel"     -> tiled parallel kernel, default threads
+///   "parallel:N"   -> tiled parallel kernel, N worker threads
 /// Returns false (and fills `*error` when non-null) on anything else —
 /// including `parallel:0`, negative, or non-numeric thread counts, which
 /// must fail loudly: a sweep silently falling back to a default thread
-/// count would benchmark the wrong configuration.
+/// count would benchmark the wrong configuration. "legacy" names the
+/// removed (time, FIFO) event order and is refused with that reason.
 inline bool parse_kernel_selector(const std::string& value,
                                   sim::KernelConfig* kernel,
                                   std::string* error = nullptr) {
   *kernel = sim::KernelConfig{};
-  if (value.empty() || value == "legacy") return true;
-  if (value == "serial") {
-    kernel->canonical_order = true;
-    return true;
+  if (value.empty() || value == "serial") return true;
+  if (value == "legacy") {
+    if (error) {
+      *error = "ET_KERNEL 'legacy': the legacy (time, FIFO) event order "
+               "was removed; every kernel runs the canonical order (use "
+               "serial, parallel, or parallel:N)";
+    }
+    return false;
   }
   if (value == "parallel") {
     kernel->use_parallel_kernel = true;
@@ -59,14 +63,14 @@ inline bool parse_kernel_selector(const std::string& value,
   }
   if (error) {
     *error = "unknown ET_KERNEL '" + value +
-             "' (expected legacy, serial, parallel, or parallel:N)";
+             "' (expected serial, parallel, or parallel:N)";
   }
   return false;
 }
 
 /// Kernel selection from the ET_KERNEL environment variable (unset/empty =
-/// legacy engine). Exits with the parser's message on a malformed value.
-/// "serial" and "parallel:N" runs print byte-identical output — CI diffs
+/// serial kernel). Exits with the parser's message on a malformed value.
+/// Serial and "parallel:N" runs print byte-identical output — CI diffs
 /// them.
 inline sim::KernelConfig kernel_from_env() {
   sim::KernelConfig kernel;

@@ -9,7 +9,7 @@ namespace {
 
 /// Re-emits group events through the master simulator's op path so the real
 /// observer runs on the master thread, in canonical key order — the same
-/// order the serial canonical oracle calls it in.
+/// order on the serial and the parallel kernel.
 class JournaledObserver final : public GroupObserver {
  public:
   JournaledObserver(sim::Simulator& sim, GroupObserver* target)
@@ -46,46 +46,40 @@ EnviroTrackSystem::EnviroTrackSystem(sim::Simulator& sim,
                              })
                        : node::MoteNetwork::SimSelector{}),
       aggregations_(AggregationRegistry::with_builtins()) {
-  if (config_.kernel.canonical()) {
-    canonical_ = true;
-    // One sequence counter per owner: every mote, the channel, the world.
-    auto counters = std::make_shared<std::vector<std::uint64_t>>(
-        network_.size() + 2, 0);
-    if (kernel_) {
-      for (sim::Simulator* engine : kernel_->all_sims()) {
-        engine->enable_canonical(counters);
-      }
-    } else {
-      sim_.enable_canonical(std::move(counters));
-    }
-    // The medium resolves the handoff latencies from its RadioConfig; the
-    // kernel's window plan then mirrors them.
-    medium_.enable_canonical([this](NodeId id) -> sim::Simulator& {
-      return network_.mote(id).sim();
-    });
-    if (kernel_) {
-      sim::WindowPlan plan;
-      plan.min_airtime = medium_.min_airtime();
-      plan.tx_handoff = medium_.tx_handoff();
-      plan.rx_handoff = medium_.rx_latency();
-      plan.hop_radius = config_.radio.comm_radius;
-      plan.n_motes = static_cast<std::uint32_t>(network_.size());
-      plan.collect_channel =
-          [this](std::vector<std::pair<Time, Vec2>>& out) {
-            medium_.collect_channel_constraints(out);
-          };
-      plan.pos_of = [this](std::uint32_t rank) {
-        return medium_.position_of(NodeId{rank});
-      };
-      plan.prepare = [this](Time t) { env_.prepare(t); };
-      kernel_->finalize(std::move(plan));
-      medium_.set_fanout_executor(
-          [this](std::size_t n_groups, std::size_t n_receivers,
-                 const std::function<void(std::size_t)>& body) {
-            kernel_->run_fanout(n_groups, n_receivers, body);
-          });
-    }
+  // One per-owner sequence table for every engine of the run (every mote,
+  // the channel, the world), presized so no engine grows it later.
+  auto seqs = std::make_shared<sim::Simulator::SeqTable>(network_.size() + 2,
+                                                          0);
+  if (!kernel_) {
+    sim_.share_seq_table(std::move(seqs));
+    return;
   }
+  for (sim::Simulator* engine : kernel_->all_sims()) {
+    engine->share_seq_table(seqs);
+  }
+  medium_.set_receiver_sims([this](NodeId id) -> sim::Simulator& {
+    return network_.mote(id).sim();
+  });
+  // The kernel's window plan mirrors the medium's handoff latencies.
+  sim::WindowPlan plan;
+  plan.min_airtime = medium_.min_airtime();
+  plan.tx_handoff = medium_.tx_handoff();
+  plan.rx_handoff = medium_.rx_latency();
+  plan.hop_radius = config_.radio.comm_radius;
+  plan.n_motes = static_cast<std::uint32_t>(network_.size());
+  plan.collect_channel = [this](std::vector<std::pair<Time, Vec2>>& out) {
+    medium_.collect_channel_constraints(out);
+  };
+  plan.pos_of = [this](std::uint32_t rank) {
+    return medium_.position_of(NodeId{rank});
+  };
+  plan.prepare = [this](Time t) { env_.prepare(t); };
+  kernel_->finalize(std::move(plan));
+  medium_.set_fanout_executor(
+      [this](std::size_t n_groups, std::size_t n_receivers,
+             const std::function<void(std::size_t)>& body) {
+        kernel_->run_fanout(n_groups, n_receivers, body);
+      });
 }
 
 TypeIndex EnviroTrackSystem::add_context_type(ContextTypeSpec spec) {
@@ -122,12 +116,11 @@ std::size_t EnviroTrackSystem::run_until(Time deadline) {
 
 void EnviroTrackSystem::add_group_observer(GroupObserver* observer) {
   assert(started_);
-  if (canonical_) {
-    journaled_observers_.push_back(
-        std::make_unique<JournaledObserver>(sim_, observer));
-    observer = journaled_observers_.back().get();
+  journaled_observers_.push_back(
+      std::make_unique<JournaledObserver>(sim_, observer));
+  for (auto& stack : stacks_) {
+    stack->groups().add_observer(journaled_observers_.back().get());
   }
-  for (auto& stack : stacks_) stack->groups().add_observer(observer);
 }
 
 void EnviroTrackSystem::add_transport_listener(TransportListener fn) {
@@ -138,14 +131,9 @@ void EnviroTrackSystem::add_transport_listener(TransportListener fn) {
     Transport* transport = stacks_[i]->transport();
     if (!transport) continue;
     const NodeId id{i};
-    if (canonical_) {
-      transport->add_listener([this, shared, id](const TransportEvent& event) {
-        sim_.post_op([shared, id, event] { (*shared)(id, event); });
-      });
-    } else {
-      transport->add_listener(
-          [shared, id](const TransportEvent& event) { (*shared)(id, event); });
-    }
+    transport->add_listener([this, shared, id](const TransportEvent& event) {
+      sim_.post_op([shared, id, event] { (*shared)(id, event); });
+    });
   }
 }
 

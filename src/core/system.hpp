@@ -74,9 +74,9 @@ class EnviroTrackSystem {
   std::size_t node_count() const { return network_.size(); }
 
   /// Subscribes `observer` to group events on every mote (metrics layer).
-  /// Must be called after start(). In canonical order the events are
-  /// journaled through the master simulator as channel ops, so observers
-  /// run single-threaded and in canonical event order even when the
+  /// Must be called after start(). The events are journaled through the
+  /// master simulator as channel ops, so observers run single-threaded, in
+  /// canonical event order and just after the emitting event, even when the
   /// emitting motes execute on tile threads.
   void add_group_observer(GroupObserver* observer);
 
@@ -99,7 +99,7 @@ class EnviroTrackSystem {
   /// refers to `config_.middleware`, so it is declared before `stacks_`.
   SystemConfig config_;
   /// Constructed before the network so mote construction can ask it for
-  /// tile assignment; null on the serial kernels.
+  /// tile assignment; null on the serial kernel.
   std::unique_ptr<sim::ParallelKernel> kernel_;
   radio::Medium medium_;
   node::MoteNetwork network_;
@@ -107,11 +107,10 @@ class EnviroTrackSystem {
   AggregationRegistry aggregations_;
   std::vector<ContextTypeSpec> specs_;
   std::vector<std::unique_ptr<MiddlewareStack>> stacks_;
-  /// Journaling proxies handed to the group managers (canonical order).
+  /// Journaling proxies handed to the group managers.
   std::vector<std::unique_ptr<GroupObserver>> journaled_observers_;
   /// Shared listener fan-in targets (kept alive for the stacks' lambdas).
   std::vector<std::shared_ptr<TransportListener>> transport_listeners_;
-  bool canonical_ = false;
   bool started_ = false;
 };
 

@@ -71,8 +71,8 @@ class Environment {
   /// for every query time <= `t`. The parallel kernel calls this before
   /// each tile window so concurrent position_at/senses/reading calls are
   /// pure reads. Note: channels with noise_stddev > 0 draw from a shared
-  /// RNG per reading and are not usable under canonical/parallel order
-  /// (every built-in scenario leaves noise at 0).
+  /// RNG per reading, so they are not usable on the parallel kernel, whose
+  /// tiles read concurrently (every built-in scenario leaves noise at 0).
   void prepare(Time t) const;
 
  private:

@@ -158,7 +158,7 @@ void FaultInjector::apply(NodeId node, FaultKind kind) {
       stats_.crashes++;
       if (record.was_leader) stats_.leader_crashes++;
       // Through the system facade, which attributes the stack's scheduling
-      // to the affected mote (canonical order).
+      // to the affected mote (canonical keys).
       system_.crash_node(node);
       break;
     case FaultKind::kReboot:

@@ -318,9 +318,7 @@ TrialResult run_trial(const ReproArtifact& artifact,
                       const TrialOptions& options) {
   TrialResult trial;
 
-  sim::KernelConfig serial;
-  serial.canonical_order = true;
-  const RunOutput serial_run = run_one(artifact, serial, options);
+  const RunOutput serial_run = run_one(artifact, sim::KernelConfig{}, options);
   trial.verdict.merge(serial_run.verdict, "serial");
   trial.digest = serial_run.digest;
   trial.sim_seconds = serial_run.sim_seconds;

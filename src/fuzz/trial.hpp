@@ -8,8 +8,8 @@
 
 /// One chaos trial under the stacked oracles.
 ///
-/// `run_trial` executes the artifact twice — once on the serial canonical
-/// kernel, once on `parallel:N` — and judges each run with:
+/// `run_trial` executes the artifact twice — once on the serial kernel,
+/// once on `parallel:N` — and judges each run with:
 ///
 ///   - the runtime protocol-invariant oracle (metrics/invariants.hpp),
 ///   - serve-answer validation: the sharded track store's `latest`,

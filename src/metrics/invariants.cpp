@@ -38,7 +38,7 @@ InvariantOracle::InvariantOracle(core::EnviroTrackSystem& system,
     : system_(system), config_(config) {
   system_.add_group_observer(this);
   // Routed through the system so transport events are journaled into
-  // canonical order (and onto the master thread) under the parallel kernel,
+  // canonical order (and onto the master thread under the parallel kernel),
   // exactly like group events.
   system_.add_transport_listener(
       [this](NodeId node, const core::TransportEvent& event) {

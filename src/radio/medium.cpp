@@ -46,9 +46,14 @@ const char* msg_type_name(MsgType type) {
 }
 
 Medium::Medium(sim::Simulator& sim, RadioConfig config)
-    : sim_(sim), config_(config), rng_(sim.make_rng("radio-medium")) {
+    : sim_(sim),
+      config_(config),
+      rng_(sim.make_rng("radio-medium")),
+      rx_latency_(min_airtime() * kRxHandoffAirtimes),
+      tx_handoff_(min_airtime() * kMacHandoffAirtimes) {
   assert(config_.comm_radius > 0.0);
   assert(config_.bitrate_bps > 0.0);
+  assert(rx_latency_.is_positive());
 }
 
 Duration Medium::min_airtime() const {
@@ -56,17 +61,9 @@ Duration Medium::min_airtime() const {
                            config_.bitrate_bps);
 }
 
-void Medium::enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of) {
-  assert(sim_of);
-  canonical_ = true;
+void Medium::set_receiver_sims(
+    std::function<sim::Simulator&(NodeId)> sim_of) {
   sim_of_ = std::move(sim_of);
-  // Both latencies are multiples of the minimum airtime. rx below one
-  // airtime would break the kernel's conservative floor, so it clamps; a
-  // negative MAC handoff is meaningless.
-  const Duration airtime = min_airtime();
-  rx_latency_ = airtime * std::max(1.0, config_.rx_handoff_airtimes);
-  tx_handoff_ = airtime * std::max(0.0, config_.mac_handoff_airtimes);
-  assert(rx_latency_.is_positive());
 }
 
 std::int32_t Medium::cell_coord(double v) const {
@@ -115,8 +112,8 @@ void Medium::gather_in_radius(Vec2 center, double radius,
       }
     }
   }
-  // Ascending id order keeps delivery — and therefore per-receiver RNG
-  // consumption — bit-identical with the brute-force scan.
+  // Ascending id order keeps delivery — and therefore the reception keys
+  // assigned per candidate — bit-identical with the brute-force scan.
   std::sort(out.begin(), out.end());
 }
 
@@ -142,19 +139,15 @@ Duration Medium::airtime_of(const Frame& frame) const {
 void Medium::send(Frame frame) {
   assert(frame.src.value() < endpoints_.size());
   assert(frame.payload != nullptr);
-  if (canonical_) {
-    // Mote context may be running on a tile thread; hand the whole MAC
-    // entry (stats included) over as a channel op so all medium state stays
-    // master-confined and ops replay in canonical issue order. The op is
-    // keyed tx_handoff() after the send — the MAC-entry latency — and
-    // flagged as a send so the window planner can track it as a pending
-    // transmission source.
-    sim_.post_radio_op(tx_handoff_, [this, frame = std::move(frame)]() mutable {
-      send_now(std::move(frame));
-    });
-    return;
-  }
-  send_now(std::move(frame));
+  // Mote context may be running on a tile thread; hand the whole MAC entry
+  // (stats included) over as a channel op so all medium state stays
+  // master-confined and ops replay in canonical issue order. The op is
+  // keyed tx_handoff() after the send — the MAC-entry latency — and flagged
+  // as a send so the window planner can track it as a pending transmission
+  // source.
+  sim_.post_radio_op(tx_handoff_, [this, frame = std::move(frame)]() mutable {
+    send_now(std::move(frame));
+  });
 }
 
 void Medium::send_now(Frame frame) {
@@ -243,9 +236,9 @@ void Medium::try_send(NodeId id) {
     const double slots = rng_.uniform(1.0, static_cast<double>(window));
     ep.backoff_pending = true;
     const Duration delay = config_.backoff_slot * slots;
-    if (canonical_) note_mac_wakeup(sim_.now() + delay, id);
+    note_mac_wakeup(sim_.now() + delay, id);
     sim_.schedule_owned(sim::kChannelRank, delay, [this, id] {
-      if (canonical_) clear_mac_wakeup(id);
+      clear_mac_wakeup(id);
       endpoints_[id.value()].backoff_pending = false;
       try_send(id);
     });
@@ -299,9 +292,9 @@ void Medium::complete_transmission(NodeId id, Time start, Time end,
   // Move on to the next queued frame after a short turnaround gap so two
   // frames from the same node cannot overlap.
   if (!ep.queue.empty()) {
-    if (canonical_) note_mac_wakeup(sim_.now() + Duration::micros(100), id);
+    note_mac_wakeup(sim_.now() + Duration::micros(100), id);
     sim_.schedule_owned(sim::kChannelRank, Duration::micros(100), [this, id] {
-      if (canonical_) clear_mac_wakeup(id);
+      clear_mac_wakeup(id);
       try_send(id);
     });
   }
@@ -324,7 +317,7 @@ bool Medium::corrupted_at(NodeId receiver, Time start, Time end,
   return false;
 }
 
-bool Medium::sample_burst_state(NodeId receiver, Rng& rng) {
+bool Medium::sample_burst_state(NodeId receiver) {
   Endpoint& ep = endpoints_[receiver.value()];
   // Exact transition of the two-state CTMC over the (arbitrarily long)
   // interval since the chain was last sampled: with G->B rate a = 1/mean_good
@@ -341,16 +334,16 @@ bool Medium::sample_burst_state(NodeId receiver, Rng& rng) {
   const double decay = std::exp(-rate * dt);
   const double p_bad =
       ep.burst_bad ? pi_bad + (1.0 - pi_bad) * decay : pi_bad * (1.0 - decay);
-  ep.burst_bad = rng.chance(p_bad);
+  ep.burst_bad = ep.rx_rng.chance(p_bad);
   ep.burst_sampled_at = sim_.now();
   return ep.burst_bad;
 }
 
-void Medium::attempt_canonical(std::uint32_t k,
-                               const std::vector<std::uint32_t>& candidates,
-                               const Frame& frame, Time start, Time end,
-                               std::uint64_t tx_id, Time handoff,
-                               std::uint64_t seq_base, ScatterStats& acc) {
+void Medium::attempt_delivery(std::uint32_t k,
+                              const std::vector<std::uint32_t>& candidates,
+                              const Frame& frame, Time start, Time end,
+                              std::uint64_t tx_id, Time handoff,
+                              std::uint64_t seq_base, ScatterStats& acc) {
   const NodeId receiver{candidates[k]};
   Endpoint& rx = endpoints_[receiver.value()];
   if (!rx.receiver_enabled || rx.blackout) return;
@@ -366,7 +359,7 @@ void Medium::attempt_canonical(std::uint32_t k,
     return;
   }
   if (config_.burst_loss.enabled) {
-    const bool bad = sample_burst_state(receiver, rx.rx_rng);
+    const bool bad = sample_burst_state(receiver);
     const double p =
         bad ? config_.burst_loss.loss_bad : config_.burst_loss.loss_good;
     if (rx.rx_rng.chance(p)) {
@@ -388,9 +381,10 @@ void Medium::attempt_canonical(std::uint32_t k,
   // Hand the frame to the receiver's simulator rx_latency() after
   // completion at the key pre-assigned to this candidate slot. The latency
   // is what lets tiles run a whole lookahead window without hearing from
-  // the channel; the serial canonical oracle applies the same latency, so
-  // the two engines stay bit-exact.
-  sim_of_(receiver).schedule_at_key(
+  // the channel; the serial kernel applies the same latency, so the two
+  // engines stay bit-exact.
+  sim::Simulator& rx_sim = sim_of_ ? sim_of_(receiver) : sim_;
+  rx_sim.schedule_at_key(
       sim::EventKey{handoff, sim::kChannelRank, seq_base + k},
       static_cast<std::uint32_t>(receiver.value()),
       [this, receiver, frame] {
@@ -403,11 +397,9 @@ void Medium::deliver(const Frame& frame, Time start, Time end,
                      std::uint64_t tx_id) {
   TypeStats& ts = stats_.of(frame.type);
 
-  // Candidate receivers in ascending id order — the same set in every mode
-  // and for both geometry paths. The buffer is swapped into a local
-  // (capacity recycled through deliver_scratch_) so receiver callbacks that
-  // re-enter the medium cannot clobber the iteration.
-  std::vector<std::uint32_t> candidates = std::move(deliver_scratch_);
+  // Candidate receivers in ascending id order — the same set for both
+  // geometry paths.
+  std::vector<std::uint32_t>& candidates = deliver_scratch_;
   const double reach =
       frame.range_limit ? std::min(*frame.range_limit, config_.comm_radius)
                         : config_.comm_radius;
@@ -436,112 +428,63 @@ void Medium::deliver(const Frame& frame, Time start, Time end,
     }
   }
 
-  std::size_t delivered = 0;
-  if (!canonical_) {
-    // Legacy order: shared RNG stream consumed in ascending id order,
-    // receivers invoked inline at the completion instant — byte-identical
-    // to the seed.
-    for (std::uint32_t idx : candidates) {
-      const NodeId receiver{idx};
-      const Endpoint& rx = endpoints_[idx];
-      if (!rx.receiver_enabled || rx.blackout) continue;
-      if (!same_partition(frame.src, receiver)) {
-        ts.pair_blocked_partition++;
-        continue;
+  // One pre-assigned reception key and one private RNG stream per
+  // candidate, so every receiver's outcome is independent of the order
+  // receivers are sampled in. The serial loop and the sharded fan-out below
+  // therefore produce the same simulation, bit for bit — parallelism never
+  // rides on the sampling order.
+  const std::uint64_t seq_base =
+      sim_.alloc_seq_block(sim::kChannelRank, candidates.size());
+  const Time handoff = end + rx_latency_;
+  ScatterStats totals;
+  if (fanout_exec_ && candidates.size() >= config_.fanout_min_receivers) {
+    // Shard by receiving simulator (tile): groups touch disjoint endpoint
+    // state and tile queues, so the kernel may run them concurrently.
+    fanout_group_sims_.clear();
+    for (auto& group : fanout_groups_) group.clear();
+    for (std::uint32_t k = 0;
+         k < static_cast<std::uint32_t>(candidates.size()); ++k) {
+      sim::Simulator* tile = &sim_of_(NodeId{candidates[k]});
+      std::size_t g = 0;
+      while (g < fanout_group_sims_.size() && fanout_group_sims_[g] != tile)
+        ++g;
+      if (g == fanout_group_sims_.size()) {
+        fanout_group_sims_.push_back(tile);
+        if (fanout_groups_.size() < fanout_group_sims_.size())
+          fanout_groups_.emplace_back();
       }
-      ts.pair_attempts++;
-      if (config_.model_collisions &&
-          corrupted_at(receiver, start, end, tx_id)) {
-        ts.pair_lost_collision++;
-        continue;
+      fanout_groups_[g].push_back(k);
+    }
+    const std::size_t n_groups = fanout_group_sims_.size();
+    fanout_stats_.assign(n_groups, ScatterStats{});
+    fanout_exec_(n_groups, candidates.size(), [&](std::size_t g) {
+      for (std::uint32_t k : fanout_groups_[g]) {
+        attempt_delivery(k, candidates, frame, start, end, tx_id, handoff,
+                         seq_base, fanout_stats_[g]);
       }
-      if (config_.burst_loss.enabled) {
-        const bool bad = sample_burst_state(receiver, rng_);
-        const double p =
-            bad ? config_.burst_loss.loss_bad : config_.burst_loss.loss_good;
-        if (rng_.chance(p)) {
-          if (bad) {
-            ts.pair_lost_burst++;
-          } else {
-            ts.pair_lost_random++;
-          }
-          continue;
-        }
-      } else if (rng_.chance(config_.loss_probability)) {
-        ts.pair_lost_random++;
-        continue;
-      }
-      ts.pair_delivered++;
-      ++delivered;
-      Endpoint& ep = endpoints_[idx];
-      ep.stats.frames_received++;
-      ep.stats.bits_received +=
-          (config_.header_bytes + frame.payload->size_bytes()) * 8;
-      if (ep.recv) ep.recv(frame);
+    });
+    for (const ScatterStats& s : fanout_stats_) {
+      totals.attempts += s.attempts;
+      totals.delivered += s.delivered;
+      totals.lost_collision += s.lost_collision;
+      totals.lost_random += s.lost_random;
+      totals.lost_burst += s.lost_burst;
+      totals.blocked_partition += s.blocked_partition;
     }
   } else {
-    // Canonical order: one pre-assigned reception key and one private RNG
-    // stream per candidate, so every receiver's outcome is independent of
-    // the order receivers are sampled in. The serial loop and the sharded
-    // fan-out below therefore produce the same simulation, bit for bit —
-    // parallelism never rides on the sampling order.
-    const std::uint64_t seq_base =
-        sim_.alloc_seq_block(sim::kChannelRank, candidates.size());
-    const Time handoff = end + rx_latency_;
-    ScatterStats totals;
-    if (fanout_exec_ && candidates.size() >= config_.fanout_min_receivers) {
-      // Shard by receiving simulator (tile): groups touch disjoint endpoint
-      // state and tile queues, so the kernel may run them concurrently.
-      fanout_group_sims_.clear();
-      for (auto& group : fanout_groups_) group.clear();
-      for (std::uint32_t k = 0;
-           k < static_cast<std::uint32_t>(candidates.size()); ++k) {
-        sim::Simulator* tile = &sim_of_(NodeId{candidates[k]});
-        std::size_t g = 0;
-        while (g < fanout_group_sims_.size() && fanout_group_sims_[g] != tile)
-          ++g;
-        if (g == fanout_group_sims_.size()) {
-          fanout_group_sims_.push_back(tile);
-          if (fanout_groups_.size() < fanout_group_sims_.size())
-            fanout_groups_.emplace_back();
-        }
-        fanout_groups_[g].push_back(k);
-      }
-      const std::size_t n_groups = fanout_group_sims_.size();
-      fanout_stats_.assign(n_groups, ScatterStats{});
-      fanout_exec_(n_groups, candidates.size(), [&](std::size_t g) {
-        for (std::uint32_t k : fanout_groups_[g]) {
-          attempt_canonical(k, candidates, frame, start, end, tx_id, handoff,
-                            seq_base, fanout_stats_[g]);
-        }
-      });
-      for (const ScatterStats& s : fanout_stats_) {
-        totals.attempts += s.attempts;
-        totals.delivered += s.delivered;
-        totals.lost_collision += s.lost_collision;
-        totals.lost_random += s.lost_random;
-        totals.lost_burst += s.lost_burst;
-        totals.blocked_partition += s.blocked_partition;
-      }
-    } else {
-      for (std::uint32_t k = 0;
-           k < static_cast<std::uint32_t>(candidates.size()); ++k) {
-        attempt_canonical(k, candidates, frame, start, end, tx_id, handoff,
-                          seq_base, totals);
-      }
+    for (std::uint32_t k = 0;
+         k < static_cast<std::uint32_t>(candidates.size()); ++k) {
+      attempt_delivery(k, candidates, frame, start, end, tx_id, handoff,
+                       seq_base, totals);
     }
-    ts.pair_attempts += totals.attempts;
-    ts.pair_delivered += totals.delivered;
-    ts.pair_lost_collision += totals.lost_collision;
-    ts.pair_lost_random += totals.lost_random;
-    ts.pair_lost_burst += totals.lost_burst;
-    ts.pair_blocked_partition += totals.blocked_partition;
-    delivered = totals.delivered;
   }
-
-  candidates.clear();
-  deliver_scratch_ = std::move(candidates);
-  if (delivered == 0) ts.lost++;
+  ts.pair_attempts += totals.attempts;
+  ts.pair_delivered += totals.delivered;
+  ts.pair_lost_collision += totals.lost_collision;
+  ts.pair_lost_random += totals.lost_random;
+  ts.pair_lost_burst += totals.lost_burst;
+  ts.pair_blocked_partition += totals.blocked_partition;
+  if (totals.delivered == 0) ts.lost++;
 }
 
 void Medium::note_mac_wakeup(Time at, NodeId id) {
@@ -580,12 +523,8 @@ void Medium::set_partition(std::vector<std::uint32_t> component_of) {
 }
 
 void Medium::set_receiver_enabled(NodeId id, bool enabled) {
-  if (canonical_) {
-    // Duty cycling toggles from mote context; defer like any channel op.
-    sim_.post_op([this, id, enabled] { set_receiver_enabled_now(id, enabled); });
-    return;
-  }
-  set_receiver_enabled_now(id, enabled);
+  // Duty cycling toggles from mote context; defer like any channel op.
+  sim_.post_op([this, id, enabled] { set_receiver_enabled_now(id, enabled); });
 }
 
 void Medium::set_receiver_enabled_now(NodeId id, bool enabled) {

@@ -30,9 +30,9 @@
 /// range), independent of network size. Carrier sense additionally scans
 /// only the currently-airing transmissions, and the interference history is
 /// pruned by the longest observed frame airtime. Results are bit-identical
-/// to the brute-force path (`RadioConfig::use_spatial_index = false`):
-/// candidate receivers are visited in ascending node-id order either way,
-/// so the RNG stream is consumed identically.
+/// to the brute-force path (`RadioConfig::use_spatial_index = false`): both
+/// find the same candidate receivers in ascending node-id order, and each
+/// receiver draws its loss outcome from an RNG stream of its own.
 namespace et::radio {
 
 /// Gilbert–Elliott burst-loss channel model: every receiver carries a
@@ -43,7 +43,7 @@ namespace et::radio {
 /// far harder than the same average loss spread i.i.d. — a burst longer
 /// than the receive timeout looks exactly like a dead leader. When
 /// disabled the i.i.d. `loss_probability` path is used and no extra RNG
-/// draws are consumed, so existing runs are bit-identical.
+/// draws are consumed.
 struct BurstLossConfig {
   bool enabled = false;
   /// Mean sojourn time in the Good (quiet) state.
@@ -83,16 +83,6 @@ struct RadioConfig {
   int max_backoff_attempts = 8;
   /// Outgoing frame queue per node; overflow drops the newest frame.
   std::size_t tx_queue_capacity = 16;
-  /// Canonical order (see KernelConfig): the latency between a mote handing
-  /// a frame to the radio stack and the MAC taking it over (serialising the
-  /// frame into the transceiver FIFO), as a multiple of the minimum frame
-  /// airtime. The serial oracle and the parallel kernel apply it
-  /// identically; the legacy order ignores it.
-  double mac_handoff_airtimes = 2.0;
-  /// Canonical order: completion-to-receiver handoff latency (FIFO drain +
-  /// rx dispatch) as a multiple of the minimum frame airtime. Values below
-  /// 1 are clamped to 1, the parallel kernel's conservative lookahead.
-  double rx_handoff_airtimes = 3.0;
   /// Broadcasts with at least this many candidate receivers are sampled on
   /// the parallel kernel's worker pool (sharded by receiving tile) instead
   /// of serially on the master. Outcomes are identical either way — the
@@ -108,12 +98,20 @@ struct RadioConfig {
 
 class Medium {
  public:
-  /// Invoked when a frame is successfully received by a node. In the legacy
-  /// event order it runs at the simulated instant the last bit arrives; in
-  /// canonical order (see enable_canonical) it runs rx_latency() later —
-  /// the rx-handoff latency that gives the parallel kernel its
-  /// conservative lookahead.
+  /// Invoked when a frame is successfully received by a node, rx_latency()
+  /// after its last bit arrives — the rx-handoff latency that gives the
+  /// parallel kernel its conservative lookahead.
   using Receiver = std::function<void(const Frame&)>;
+
+  /// Latency between a mote handing a frame to the radio stack and the MAC
+  /// taking it over (serialising the frame into the transceiver FIFO), in
+  /// minimum frame airtimes.
+  static constexpr double kMacHandoffAirtimes = 2.0;
+  /// Completion-to-receiver handoff latency (FIFO drain + rx dispatch), in
+  /// minimum frame airtimes. At least one: that is the parallel kernel's
+  /// conservative lookahead.
+  static constexpr double kRxHandoffAirtimes = 3.0;
+  static_assert(kRxHandoffAirtimes >= 1.0);
 
   Medium(sim::Simulator& sim, RadioConfig config);
 
@@ -125,23 +123,20 @@ class Medium {
   /// time t can be heard before t + min_airtime().
   Duration min_airtime() const;
 
-  /// Switches the medium to canonical event order: sends and receiver
-  /// toggles issued from mote context are deferred as channel ops, medium
-  /// internals are channel-owned events, and successful receptions are
-  /// handed to the receiver's simulator (`sim_of`) rx_latency() after the
-  /// transmission completes. Used by both the serial canonical oracle
-  /// (sim_of returns the master) and the parallel kernel (sim_of returns
-  /// the receiver's tile). The MAC-handoff and rx-handoff latencies from
-  /// RadioConfig apply, identically on both engines.
-  void enable_canonical(std::function<sim::Simulator&(NodeId)> sim_of);
+  /// Routes each successful reception to the receiver's simulator
+  /// (`sim_of`, the receiver's tile under the parallel kernel) instead of
+  /// this medium's own. Sends and receiver toggles issued from mote context
+  /// are always deferred as channel ops and medium internals are always
+  /// channel-owned events, so the handoff latencies apply identically on
+  /// every engine.
+  void set_receiver_sims(std::function<sim::Simulator&(NodeId)> sim_of);
 
-  /// Latency between a mote-context send() and the MAC accepting the frame
-  /// (canonical order).
+  /// Latency between a mote-context send() and the MAC accepting the frame.
   Duration tx_handoff() const { return tx_handoff_; }
-  /// Completion-to-receiver handoff latency (canonical order).
+  /// Completion-to-receiver handoff latency.
   Duration rx_latency() const { return rx_latency_; }
 
-  /// Parallel fan-out hook. When set, canonical broadcast deliveries with
+  /// Parallel fan-out hook. When set, broadcast deliveries with
   /// at least RadioConfig::fanout_min_receivers candidates are sharded into
   /// per-tile groups and `exec(n_groups, n_receivers, body)` must invoke
   /// `body(g)` exactly once for every g in [0, n_groups) — concurrently if
@@ -153,7 +148,7 @@ class Medium {
       const std::function<void(std::size_t)>& body)>;
   void set_fanout_executor(FanoutExec exec) { fanout_exec_ = std::move(exec); }
 
-  /// Window-planner feed (canonical order): appends one (earliest possible
+  /// Window-planner feed: appends one (earliest possible
   /// completion time, source position) entry per transmission currently on
   /// the air and per scheduled MAC wakeup (pending backoff retry or
   /// post-frame turnaround — either may start a new transmission when it
@@ -184,7 +179,9 @@ class Medium {
 
   /// Powers a node's receiver down/up (duty cycling). A sleeping receiver
   /// hears nothing — frames addressed to it are lost like any other — but
-  /// the node can still transmit (the radio wakes for the send).
+  /// the node can still transmit (the radio wakes for the send). The toggle
+  /// is a channel op: it takes effect after the current event, at the same
+  /// simulated time.
   void set_receiver_enabled(NodeId id, bool enabled);
   bool receiver_enabled(NodeId id) const {
     return endpoints_[id.value()].receiver_enabled;
@@ -229,8 +226,9 @@ class Medium {
     return off;
   }
 
-  /// Hands a frame to the sender's MAC. May transmit immediately, back off,
-  /// or drop (queue overflow / backoff exhaustion).
+  /// Hands a frame to the sender's MAC, which takes it over tx_handoff()
+  /// later (a channel op). It may then transmit at once, back off, or drop
+  /// it (queue overflow / backoff exhaustion).
   void send(Frame frame);
 
   /// Carrier sense at `id`: is any transmission currently audible?
@@ -273,11 +271,10 @@ class Medium {
     /// when it was last sampled.
     bool burst_bad = false;
     Time burst_sampled_at;
-    /// Canonical order: this receiver's private loss stream (burst chain
-    /// and loss draws), forked per node so delivery outcomes do not depend
-    /// on the order receivers are sampled in — the property that makes the
-    /// parallel fan-out trivially equivalent to the serial loop. Legacy
-    /// order keeps the medium-wide stream for seed compatibility.
+    /// This receiver's private loss stream (burst chain and loss draws),
+    /// forked per node so delivery outcomes do not depend on the order
+    /// receivers are sampled in — the property that makes the parallel
+    /// fan-out trivially equivalent to the serial loop.
     Rng rx_rng{0};
     EndpointStats stats;
   };
@@ -308,11 +305,10 @@ class Medium {
   bool corrupted_at(NodeId receiver, Time start, Time end,
                     std::uint64_t tx_id) const;
   /// Advances `receiver`'s Gilbert–Elliott chain to now() (exact two-state
-  /// CTMC transition over the elapsed interval, one draw from `rng`) and
-  /// returns whether the chain is in the Bad state. Burst loss must be
-  /// enabled. Canonical order passes the receiver's own stream; legacy
-  /// passes the shared medium stream.
-  bool sample_burst_state(NodeId receiver, Rng& rng);
+  /// CTMC transition over the elapsed interval, one draw from the
+  /// receiver's own stream) and returns whether the chain is in the Bad
+  /// state. Burst loss must be enabled.
+  bool sample_burst_state(NodeId receiver);
   void prune_history();
 
   /// Per-delivery outcome tallies, accumulated per fan-out group and summed
@@ -326,20 +322,20 @@ class Medium {
     std::uint64_t lost_burst = 0;
     std::uint64_t blocked_partition = 0;
   };
-  /// Canonical delivery attempt for candidate `k` of the current batch:
+  /// Delivery attempt for candidate `k` of the current batch:
   /// samples the receiver's own RNG stream, and on success schedules the
   /// reception into the receiver's simulator at the pre-assigned key
   /// (handoff, kChannelRank, seq_base + k). Touches only the receiver's
   /// endpoint, the receiver's tile queue and `acc` — safe to run
   /// concurrently for receivers on different tiles.
-  void attempt_canonical(std::uint32_t k,
-                         const std::vector<std::uint32_t>& candidates,
-                         const Frame& frame, Time start, Time end,
-                         std::uint64_t tx_id, Time handoff,
-                         std::uint64_t seq_base, ScatterStats& acc);
+  void attempt_delivery(std::uint32_t k,
+                        const std::vector<std::uint32_t>& candidates,
+                        const Frame& frame, Time start, Time end,
+                        std::uint64_t tx_id, Time handoff,
+                        std::uint64_t seq_base, ScatterStats& acc);
 
   /// Pending MAC wakeups (backoff expiries, post-frame turnarounds),
-  /// maintained only in canonical order for collect_channel_constraints().
+  /// maintained for collect_channel_constraints().
   void note_mac_wakeup(Time at, NodeId id);
   void clear_mac_wakeup(NodeId id);
 
@@ -361,20 +357,17 @@ class Medium {
 
   sim::Simulator& sim_;
   RadioConfig config_;
+  /// Carrier-sense misses and backoff draws (loss draws use the
+  /// receivers' own streams).
   Rng rng_;
-  /// Canonical order: routes receptions to the owning simulator. Unset in
-  /// legacy mode.
+  /// Routes receptions to the receiver's simulator; unset = sim_.
   std::function<sim::Simulator&(NodeId)> sim_of_;
-  bool canonical_ = false;
-  /// Completion-to-receiver handoff latency in canonical order
-  /// (>= min_airtime(); zero in legacy mode).
-  Duration rx_latency_ = Duration::zero();
-  /// Mote-send to MAC-entry latency (canonical order only).
-  Duration tx_handoff_ = Duration::zero();
+  Duration rx_latency_;
+  Duration tx_handoff_;
   FanoutExec fanout_exec_;
   /// Scheduled backoff/turnaround wakeups as (fire time, endpoint index);
-  /// unsorted, removed when they fire. Canonical order only. At most one
-  /// per endpoint (the MAC is idle-or-backing-off per node).
+  /// unsorted, removed when they fire. At most one per endpoint (the MAC
+  /// is idle-or-backing-off per node).
   std::vector<std::pair<Time, std::uint32_t>> mac_wakeups_;
   /// Fan-out scratch (capacity recycled): candidate indices grouped by
   /// receiving simulator, the group -> simulator map, and per-group stats.
@@ -383,10 +376,10 @@ class Medium {
   std::vector<ScatterStats> fanout_stats_;
   std::vector<Endpoint> endpoints_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> grid_;
-  /// Capacity-recycled candidate buffer for deliver(): swapped into a local
-  /// so re-entrant queries from receiver callbacks cannot clobber the list
-  /// it is iterating. neighbors() uses a thread-local buffer instead, since
-  /// motes on different tiles of the parallel kernel query concurrently.
+  /// Capacity-recycled candidate buffer for deliver() (receptions are
+  /// scheduled, never run inline, so nothing re-enters it mid-delivery).
+  /// neighbors() uses a thread-local buffer instead, since motes on
+  /// different tiles of the parallel kernel query concurrently.
   std::vector<std::uint32_t> deliver_scratch_;
   std::vector<Transmission> active_;   // currently airing
   std::vector<Transmission> history_;  // recent + active transmissions

@@ -29,7 +29,7 @@ struct FireScenarioParams {
   /// Alarm threshold on the intensity aggregate.
   double alarm_threshold = 120.0;
 
-  /// Kernel selection (legacy serial / canonical serial / parallel).
+  /// Kernel selection (serial / parallel).
   sim::KernelConfig kernel;
 
   std::uint64_t seed = 1;

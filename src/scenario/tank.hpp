@@ -60,8 +60,8 @@ struct TankScenarioParams {
   Duration cooldown = Duration::seconds(3);
   Duration coherence_sample_period = Duration::millis(100);
 
-  /// Kernel selection: legacy serial (default), canonical serial oracle, or
-  /// the parallel tiled kernel.
+  /// Kernel selection: the serial kernel (default) or the parallel tiled
+  /// kernel; both run the one canonical event order.
   sim::KernelConfig kernel;
 
   std::uint64_t seed = 1;

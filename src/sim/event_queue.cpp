@@ -22,12 +22,6 @@ std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner) {
   return index;
 }
 
-EventHandle EventQueue::schedule(Time at, Callback fn) {
-  const std::uint32_t index = alloc_slot(std::move(fn), 0);
-  heap_.push(Entry{at, 0, next_seq_++, index, slots_[index].generation});
-  return EventHandle{alive_, this, index, slots_[index].generation};
-}
-
 EventHandle EventQueue::schedule_key(EventKey key, std::uint32_t fire_owner,
                                      Callback fn) {
   const std::uint32_t index = alloc_slot(std::move(fn), fire_owner);

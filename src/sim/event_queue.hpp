@@ -10,15 +10,14 @@
 
 /// The pending-event set of the discrete-event simulator.
 ///
-/// Events are totally ordered by (time, owner rank, insertion sequence) so
-/// that simultaneous events fire in a deterministic order — essential for
-/// reproducible distributed-protocol runs. In the default (legacy) mode the
-/// rank is always 0 and the sequence is a queue-global insertion counter,
-/// which reduces to the classic (time, FIFO) order. The canonical mode used
-/// by the parallel kernel (see sim/parallel.hpp) assigns ranks per owner
-/// (mote id < channel < world) and per-owner sequence numbers, producing a
-/// total order that is reproducible even when events are partitioned across
-/// per-tile queues.
+/// Events are totally ordered by their canonical key (time, owner rank,
+/// per-owner sequence) so that simultaneous events fire in a deterministic
+/// order — essential for reproducible distributed-protocol runs. Ranks are
+/// assigned per owner (mote id < channel < world) and sequence numbers per
+/// owner (see Simulator), so the order is a pure function of the schedule
+/// calls and stays reproducible when the parallel kernel (sim/parallel.hpp)
+/// partitions events across per-tile queues. The queue itself only orders
+/// the keys it is given.
 ///
 /// Storage is allocation-light: callbacks live in a slab of pooled slots
 /// (small closures inline, see util::InlineFunction) addressed by
@@ -34,6 +33,8 @@ class EventQueue;
 inline constexpr std::uint32_t kChannelRank = 0xFFFFFFFEu;
 /// Owner rank of world events (scenario drivers, fault injector, monitors).
 inline constexpr std::uint32_t kWorldRank = 0xFFFFFFFFu;
+/// Largest sequence number: {t, kWorldRank, kMaxSeq} bounds every key at t.
+inline constexpr std::uint64_t kMaxSeq = ~std::uint64_t{0};
 
 /// Canonical position of an event in the run's total order.
 struct EventKey {
@@ -92,15 +93,11 @@ class EventQueue {
  public:
   using Callback = util::InlineFunction<64>;
 
-  /// Schedules `fn` at absolute time `at` (legacy order: rank 0, global
-  /// FIFO sequence). Scheduling in the past is the caller's bug; the queue
-  /// itself only orders what it is given.
-  EventHandle schedule(Time at, Callback fn);
-
-  /// Schedules `fn` at an explicit canonical key. The caller owns key
-  /// uniqueness; `fire_owner` is reported back on pop so the simulator can
-  /// track the executing owner. World-ranked keys are additionally indexed
-  /// for next_world_time().
+  /// Schedules `fn` at canonical key `key`. The caller owns key uniqueness
+  /// (equal keys fire in unspecified order) and must not schedule into the
+  /// past; `fire_owner` is reported back on pop so the simulator can track
+  /// the executing owner. World-ranked keys are additionally indexed for
+  /// next_world_time().
   EventHandle schedule_key(EventKey key, std::uint32_t fire_owner,
                            Callback fn);
 
@@ -180,7 +177,6 @@ class EventQueue {
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> world_heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   /// Expires with the queue; handles check it before dereferencing queue_.
   std::shared_ptr<const void> alive_ = std::make_shared<int>(0);

@@ -11,8 +11,6 @@ namespace et::sim {
 
 namespace {
 
-constexpr std::uint64_t kMaxSeq = ~std::uint64_t{0};
-
 /// Separation between two axis-aligned intervals (0 when they overlap).
 double axis_gap(double a_min, double a_max, double b_min, double b_max) {
   if (a_max < b_min) return b_min - a_max;

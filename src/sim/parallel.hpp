@@ -66,7 +66,7 @@
 /// keys make the outcome independent of sampling order.
 ///
 /// Because every event carries the same canonical key it would have on the
-/// serial canonical engine, and windows are cut so that no event can
+/// serial engine, and windows are cut so that no event can
 /// observe state from events with larger keys, the interleaved execution
 /// is a permutation-free replay of the serial order: same seed ⇒ identical
 /// per-mote event order, RNG draws, metrics, and bench rows, for any
@@ -166,8 +166,8 @@ class ParallelKernel {
   /// outside the world rectangle clamp to the nearest tile).
   Simulator& sim_for(double x, double y);
 
-  /// Every simulator of this run, master first. System uses this to switch
-  /// them all to canonical order with one shared counter table.
+  /// Every simulator of this run, master first. System uses this to share
+  /// one per-owner sequence table across them all.
   std::vector<Simulator*> all_sims();
 
   /// Arms the window scheme. Must be called exactly once, after the medium

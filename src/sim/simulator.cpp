@@ -27,8 +27,8 @@ struct EngineScope {
 /// One periodic chain: a single control block holds the user callback and
 /// the stop flag; each firing re-arms by scheduling a lambda that captures
 /// only the shared_ptr (16 bytes — always inline in the event slot).
-/// Re-arming goes through Simulator::schedule, so in canonical mode every
-/// link of the chain inherits the owner of the firing event.
+/// Re-arming goes through Simulator::schedule, so every link of the chain
+/// inherits the owner of the firing event.
 struct PeriodicChain : detail::ChainControl {
   Simulator* sim = nullptr;
   Duration period;
@@ -74,52 +74,43 @@ Time Simulator::ambient_now(const Simulator& fallback) {
   return g_engine ? g_engine->now_ : fallback.now_;
 }
 
-void Simulator::enable_canonical(
-    std::shared_ptr<std::vector<std::uint64_t>> counters) {
-  assert(queue_.empty() && "enable_canonical before scheduling anything");
-  assert(counters && counters->size() >= 2);
-  canonical_ = true;
-  counters_ = std::move(counters);
+void Simulator::share_seq_table(std::shared_ptr<SeqTable> table) {
+  assert(queue_.empty() && "share_seq_table before scheduling anything");
+  assert(table && table->size() >= 2);
+  counters_ = std::move(table);
 }
 
-std::size_t Simulator::counter_index(std::uint32_t rank) const {
-  const std::size_t motes = counters_->size() - 2;
-  if (rank == kChannelRank) return motes;
-  if (rank == kWorldRank) return motes + 1;
-  assert(rank < motes);
-  return rank;
+std::uint64_t& Simulator::counter(std::uint32_t rank) {
+  if (rank == kChannelRank) return (*counters_)[0];
+  if (rank == kWorldRank) return (*counters_)[1];
+  const std::size_t index = std::size_t{rank} + 2;
+  if (index >= counters_->size()) counters_->resize(index + 1, 0);
+  return (*counters_)[index];
 }
 
 EventKey Simulator::make_key(Time at, std::uint32_t owner) {
-  std::uint64_t& counter = (*counters_)[counter_index(owner)];
-  EventKey key{at, owner, counter};
+  std::uint64_t& seq = counter(owner);
+  EventKey key{at, owner, seq};
   // Bump rule: a schedule issued while (or after) event `bound_` executed
   // must sort strictly after it, or the new event would land in this
   // engine's past. Since bound_ tracks the *currently executing* event on
   // whichever engine runs this code, the bump decision is identical in the
   // serial and parallel engines.
   if (bound_valid_ && key <= bound_) key.time = bound_.time + Duration::micros(1);
-  ++counter;
+  ++seq;
   return key;
-}
-
-std::uint64_t Simulator::alloc_seq(std::uint32_t rank) {
-  assert(canonical_);
-  Simulator& eng = g_engine ? *g_engine : *this;
-  return (*eng.counters_)[eng.counter_index(rank)]++;
 }
 
 std::uint64_t Simulator::alloc_seq_block(std::uint32_t rank,
                                          std::uint64_t count) {
-  assert(canonical_);
   Simulator& eng = g_engine ? *g_engine : *this;
-  std::uint64_t& counter = (*eng.counters_)[eng.counter_index(rank)];
-  const std::uint64_t first = counter;
-  counter += count;
+  std::uint64_t& seq = eng.counter(rank);
+  const std::uint64_t first = seq;
+  seq += count;
   return first;
 }
 
-EventHandle Simulator::schedule_canonical(std::uint32_t owner, Time at,
+EventHandle Simulator::schedule_as(std::uint32_t owner, Time at,
                                           Callback fn) {
   assert(!(forbid_world_rank_ && owner == kWorldRank));
   Simulator& eng = g_engine ? *g_engine : *this;
@@ -129,33 +120,26 @@ EventHandle Simulator::schedule_canonical(std::uint32_t owner, Time at,
 
 EventHandle Simulator::schedule(Duration delay, Callback fn) {
   assert(!delay.is_negative());
-  if (!canonical_) return queue_.schedule(now_ + delay, std::move(fn));
   Simulator& eng = g_engine ? *g_engine : *this;
-  return schedule_canonical(eng.executing_owner_, eng.now_ + delay,
+  return schedule_as(eng.executing_owner_, eng.now_ + delay,
                             std::move(fn));
 }
 
 EventHandle Simulator::schedule_at(Time at, Callback fn) {
-  if (!canonical_) {
-    assert(at >= now_);
-    return queue_.schedule(at, std::move(fn));
-  }
   Simulator& eng = g_engine ? *g_engine : *this;
   assert(at >= eng.now_);
-  return schedule_canonical(eng.executing_owner_, at, std::move(fn));
+  return schedule_as(eng.executing_owner_, at, std::move(fn));
 }
 
 EventHandle Simulator::schedule_owned(std::uint32_t owner, Duration delay,
                                       Callback fn) {
   assert(!delay.is_negative());
-  if (!canonical_) return queue_.schedule(now_ + delay, std::move(fn));
   Simulator& eng = g_engine ? *g_engine : *this;
-  return schedule_canonical(owner, eng.now_ + delay, std::move(fn));
+  return schedule_as(owner, eng.now_ + delay, std::move(fn));
 }
 
 EventHandle Simulator::schedule_at_key(EventKey key, std::uint32_t fire_owner,
                                        Callback fn) {
-  assert(canonical_);
   assert(!(forbid_world_rank_ && key.rank == kWorldRank));
   // A key at or below the processed bound is an insertion into this
   // engine's executed past — a conservative-window violation if it ever
@@ -204,10 +188,6 @@ void Simulator::post_radio_op(Duration entry_delay, Callback fn) {
 }
 
 void Simulator::post_op_impl(Duration delay, bool is_send, Callback fn) {
-  if (!canonical_) {
-    fn();
-    return;
-  }
   Simulator& eng = g_engine ? *g_engine : *this;
   const std::uint32_t owner = eng.executing_owner_;
   const EventKey key = eng.make_key(eng.now_ + delay, owner);
@@ -215,7 +195,7 @@ void Simulator::post_op_impl(Duration delay, bool is_send, Callback fn) {
     // Tile phase: buffer; the kernel replays into the master queue at the
     // window barrier. Key order == issue order (sends shifted by the same
     // MAC-handoff everywhere), so the replayed execution order matches the
-    // serial-canonical engine exactly.
+    // serial engine exactly.
     g_outbox->push_back(PendingOp{key, owner, std::move(fn), is_send});
   } else {
     // Master/setup context: radio ops skip the outbox, so the kernel's
@@ -284,35 +264,7 @@ bool Simulator::watchdog_charge() {
   return true;
 }
 
-std::size_t Simulator::run_until(Time deadline) {
-  EngineScope scope(this);
-  std::size_t fired = 0;
-  const bool guarded = watchdog_config_.enabled;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    if (guarded && watchdog_.tripped) break;
-    auto ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    if (guarded && !watchdog_charge()) break;
-    if (canonical_) {
-      bound_ = ev.key();
-      bound_valid_ = true;
-      executing_owner_ = ev.fire_owner;
-    }
-    ev.fn();
-    ++fired;
-    ++events_fired_;
-  }
-  // A tripped watchdog still advances the clock: drivers that loop on
-  // run_for() must keep making (virtual-time) progress so the run winds
-  // down instead of spinning on a frozen queue.
-  if (now_ < deadline) now_ = deadline;
-  if (canonical_) executing_owner_ = kWorldRank;
-  return fired;
-}
-
-std::size_t Simulator::run_until_key(EventKey bound) {
-  assert(canonical_);
+std::size_t Simulator::run_loop(EventKey bound) {
   EngineScope scope(this);
   std::size_t fired = 0;
   const bool guarded = watchdog_config_.enabled;
@@ -333,36 +285,27 @@ std::size_t Simulator::run_until_key(EventKey bound) {
   return fired;
 }
 
-std::size_t Simulator::run_all() {
-  EngineScope scope(this);
-  std::size_t fired = 0;
-  const bool guarded = watchdog_config_.enabled;
-  while (!queue_.empty()) {
-    if (guarded && watchdog_.tripped) break;
-    auto ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    if (guarded && !watchdog_charge()) break;
-    if (canonical_) {
-      bound_ = ev.key();
-      bound_valid_ = true;
-      executing_owner_ = ev.fire_owner;
-    }
-    ev.fn();
-    ++fired;
-    ++events_fired_;
-  }
-  if (canonical_) executing_owner_ = kWorldRank;
+std::size_t Simulator::run_until(Time deadline) {
+  const std::size_t fired = run_loop(EventKey{deadline, kWorldRank, kMaxSeq});
+  // A tripped watchdog still advances the clock: drivers that loop on
+  // run_for() must keep making (virtual-time) progress so the run winds
+  // down instead of spinning on a frozen queue.
+  if (now_ < deadline) now_ = deadline;
   return fired;
+}
+
+std::size_t Simulator::run_until_key(EventKey bound) { return run_loop(bound); }
+
+std::size_t Simulator::run_all() {
+  return run_loop(EventKey{Time::max(), kWorldRank, kMaxSeq});
 }
 
 void Simulator::finish_run(Time deadline) {
   advance_to(deadline);
-  if (!canonical_) return;
   // Seal the segment: everything up to and including `deadline` is in the
   // past on every engine, so schedules issued between run segments (from
   // scenario or test code) bump identically everywhere.
-  bound_ = EventKey{deadline, kWorldRank, ~std::uint64_t{0}};
+  bound_ = EventKey{deadline, kWorldRank, kMaxSeq};
   bound_valid_ = true;
   executing_owner_ = kWorldRank;
 }

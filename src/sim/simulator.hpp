@@ -20,18 +20,15 @@
 /// (see bench/sweep_runner.hpp) — a Simulator instance shares no mutable
 /// state with any other.
 ///
-/// Two event orders are supported:
-///
-///  - *Legacy* (default): events fire in (time, global FIFO) order, exactly
-///    as this kernel always behaved. Bit-identical to the seed.
-///  - *Canonical*: every event carries an (time, owner rank, per-owner seq)
-///    key; mote-owned events rank below medium-internal (channel) events,
-///    which rank below world events (scenario drivers, fault injection,
-///    monitors). The canonical order is a pure function of the schedule
-///    calls, independent of which queue an event sits in — which is what
-///    lets the parallel kernel (sim/parallel.hpp) partition motes into
-///    per-tile Simulators and still reproduce the serial oracle's event
-///    order bit for bit.
+/// Events fire in canonical order: every event carries a (time, owner
+/// rank, per-owner seq) key; mote-owned events rank below medium-internal
+/// (channel) events, which rank below world events (scenario drivers, fault
+/// injection, monitors), and equal-time events of one owner fire in the
+/// order they were scheduled. The order is a pure function of the schedule
+/// calls, independent of which queue an event sits in — which is what lets
+/// the parallel kernel (sim/parallel.hpp) partition motes into per-tile
+/// Simulators and still reproduce the serial kernel's event order bit for
+/// bit.
 namespace et::sim {
 
 class Simulator;
@@ -83,8 +80,7 @@ using OpOutbox = std::vector<PendingOp>;
 /// queries issued from test code) to the mote they act on, so canonical
 /// keys come out identical whether the call happens in the serial or the
 /// parallel engine. When a run loop is already active on this thread, its
-/// engine wins and only the owner is overridden. No-op side effects in
-/// legacy mode beyond the (ignored) owner bookkeeping.
+/// engine wins and only the owner is overridden.
 class ExecutingOwnerScope {
  public:
   ExecutingOwnerScope(Simulator& fallback_engine, std::uint32_t owner);
@@ -118,7 +114,7 @@ class Simulator {
 
   /// Virtual time as seen by the code currently executing on this thread:
   /// the running engine's clock if a run loop is active (master or tile),
-  /// otherwise `fallback.now()`. Always equals `fallback.now()` in legacy
+  /// otherwise `fallback.now()`. Always equals `fallback.now()` in
   /// single-engine runs.
   static Time ambient_now(const Simulator& fallback);
 
@@ -130,31 +126,33 @@ class Simulator {
     return root_rng_.fork(component);
   }
 
-  // --- Canonical order ---
+  // --- Canonical keys ---
 
-  /// Switches this simulator to canonical event order. `counters` holds one
-  /// per-owner sequence counter per rank (size = mote count + 2; the last
-  /// two are the channel and world ranks) and is shared between the master
-  /// and every tile simulator of a run so keys are allocated from one
-  /// namespace. Must be called before anything is scheduled.
-  void enable_canonical(
-      std::shared_ptr<std::vector<std::uint64_t>> counters);
-  bool canonical() const { return canonical_; }
+  /// Per-owner sequence counters, one per rank: the channel, the world,
+  /// then mote 0, 1, ... Each engine starts with a table of its own and
+  /// grows it on a mote rank's first use.
+  using SeqTable = std::vector<std::uint64_t>;
+
+  /// Makes this engine allocate keys from `table`, presized for every mote
+  /// of the run. The master and every tile engine of a parallel run share
+  /// one table, so keys come from one namespace and no engine grows it
+  /// while tiles run concurrently. Must be called before anything is
+  /// scheduled.
+  void share_seq_table(std::shared_ptr<SeqTable> table);
 
   /// Tile simulators never hold world-ranked events; this arms an assert.
   void forbid_world_rank() { forbid_world_rank_ = true; }
 
-  /// Schedules `fn` to run after `delay` (>= 0) of virtual time. In
-  /// canonical mode the event is owned by the currently executing owner
-  /// (events inherit their scheduler's owner).
+  /// Schedules `fn` to run after `delay` (>= 0) of virtual time. The event
+  /// is owned by the currently executing owner (events inherit their
+  /// scheduler's owner).
   EventHandle schedule(Duration delay, Callback fn);
 
   /// Schedules `fn` at an absolute virtual time (>= now()).
   EventHandle schedule_at(Time at, Callback fn);
 
   /// Schedules `fn` with an explicit owner rank (mote timers stamp their
-  /// mote id, medium internals stamp kChannelRank). Identical to schedule()
-  /// in legacy mode.
+  /// mote id, medium internals stamp kChannelRank).
   EventHandle schedule_owned(std::uint32_t owner, Duration delay,
                              Callback fn);
 
@@ -168,14 +166,10 @@ class Simulator {
                                       Duration first_delay, Duration period,
                                       Callback fn);
 
-  /// Inserts an event at a pre-assigned canonical key (parallel-kernel
-  /// plumbing: op replay and cross-engine injections). Canonical mode only.
+  /// Inserts an event at a pre-assigned canonical key (op replay, and the
+  /// medium's reception handoffs into the receiver's engine).
   EventHandle schedule_at_key(EventKey key, std::uint32_t fire_owner,
                               Callback fn);
-
-  /// Allocates the next per-owner sequence number for `rank` (canonical
-  /// mode; used by the medium to key receive-handoff injections).
-  std::uint64_t alloc_seq(std::uint32_t rank);
 
   /// Allocates `count` consecutive sequence numbers for `rank` and returns
   /// the first. The medium pre-assigns one per delivery candidate so the
@@ -184,20 +178,20 @@ class Simulator {
   /// order, including concurrently, without perturbing canonical order.
   std::uint64_t alloc_seq_block(std::uint32_t rank, std::uint64_t count);
 
-  /// Defers `fn` as a *channel op*: in legacy mode it runs inline, in
-  /// canonical mode it is keyed with (ambient now, executing owner, next
-  /// per-owner seq) and replayed through this (master) queue in key order —
-  /// from a tile thread it is buffered in the tile's outbox and flushed at
-  /// the window barrier. This is how mote-context side effects that touch
-  /// shared state (medium sends, receiver toggles, metrics journaling)
-  /// stay deterministic and thread-confined under the parallel kernel.
+  /// Defers `fn` as a *channel op*: it is keyed with (ambient now,
+  /// executing owner, next per-owner seq) and replayed through this
+  /// (master) queue in key order — from a tile thread it is buffered in the
+  /// tile's outbox and flushed at the window barrier. This is how
+  /// mote-context side effects that touch shared state (medium sends,
+  /// receiver toggles, metrics journaling) stay deterministic and
+  /// thread-confined under the parallel kernel. The op runs as an event of
+  /// its own, never inline.
   void post_op(Callback fn);
 
   /// post_op() for radio-entry side effects: the op is keyed `entry_delay`
-  /// after the ambient now (the canonical MAC-handoff latency) and marked
-  /// `is_send`, so the parallel kernel's window planner can treat it as a
-  /// pending-transmission constraint source. In legacy mode it runs inline
-  /// like post_op().
+  /// after the ambient now (the MAC-handoff latency) and marked `is_send`,
+  /// so the parallel kernel's window planner can treat it as a
+  /// pending-transmission constraint source.
   void post_radio_op(Duration entry_delay, Callback fn);
 
   /// Master-side notification for radio ops that bypass the tile outboxes
@@ -242,9 +236,9 @@ class Simulator {
   /// tests with finite schedules (periodic events never drain).
   std::size_t run_all();
 
-  /// Seals a run segment at `deadline`: advances now() and, in canonical
-  /// mode, sets the processed bound so later schedule calls (between run
-  /// segments) key identically in the serial and parallel engines.
+  /// Seals a run segment at `deadline`: advances now() and sets the
+  /// processed bound so later schedule calls (between run segments) key
+  /// identically in the serial and parallel engines.
   void finish_run(Time deadline);
 
   void advance_to(Time t) {
@@ -255,7 +249,7 @@ class Simulator {
   Time next_event_time() const {
     return queue_.empty() ? Time::max() : queue_.next_time();
   }
-  /// Earliest pending world-ranked event (canonical; Time::max() if none).
+  /// Earliest pending world-ranked event (Time::max() if none).
   Time next_world_time() const { return queue_.next_world_time(); }
 
   /// Total events fired since construction.
@@ -275,15 +269,17 @@ class Simulator {
   bool watchdog_charge();
   void watchdog_trip(std::string reason);
 
-  std::size_t counter_index(std::uint32_t rank) const;
+  /// This engine's counter for `rank`, growing the table on a mote rank's
+  /// first use.
+  std::uint64_t& counter(std::uint32_t rank);
   /// Builds the canonical key for (at, owner), applying the bump rule: a
   /// key that would not sort strictly after the engine's processed bound is
   /// moved to bound.time + 1us. Consumes the owner's sequence counter.
   EventKey make_key(Time at, std::uint32_t owner);
-  EventHandle schedule_canonical(std::uint32_t owner, Time at, Callback fn);
+  EventHandle schedule_as(std::uint32_t owner, Time at, Callback fn);
   void post_op_impl(Duration delay, bool is_send, Callback fn);
-  std::size_t run_loop(Time deadline, bool use_key_bound, EventKey bound,
-                       bool drain);
+  /// Fires events in key order while the next key is <= `bound`.
+  std::size_t run_loop(EventKey bound);
 
   Time now_ = Time::origin();
   EventQueue queue_;
@@ -292,15 +288,14 @@ class Simulator {
   std::uint64_t events_fired_ = 0;
   bool registered_log_clock_ = false;
 
-  // Canonical-order state.
-  bool canonical_ = false;
+  // Canonical-key state.
   bool forbid_world_rank_ = false;
   std::uint32_t executing_owner_ = kWorldRank;
   /// Key of the last event this engine fired (or the seal of the last run
   /// segment); schedules that would not sort after it are bumped.
   EventKey bound_{};
   bool bound_valid_ = false;
-  std::shared_ptr<std::vector<std::uint64_t>> counters_;
+  std::shared_ptr<SeqTable> counters_ = std::make_shared<SeqTable>(2, 0);
   std::uint64_t late_insertions_ = 0;
   std::function<void(EventKey, std::uint32_t)> send_op_hook_;
 

@@ -73,13 +73,9 @@ TEST(KernelSelector, AcceptsTheFourDocumentedForms) {
   sim::KernelConfig kernel;
 
   EXPECT_TRUE(bench::parse_kernel_selector("", &kernel));
-  EXPECT_FALSE(kernel.canonical());
-
-  EXPECT_TRUE(bench::parse_kernel_selector("legacy", &kernel));
-  EXPECT_FALSE(kernel.canonical());
+  EXPECT_FALSE(kernel.use_parallel_kernel);
 
   EXPECT_TRUE(bench::parse_kernel_selector("serial", &kernel));
-  EXPECT_TRUE(kernel.canonical_order);
   EXPECT_FALSE(kernel.use_parallel_kernel);
 
   EXPECT_TRUE(bench::parse_kernel_selector("parallel", &kernel));
@@ -125,10 +121,21 @@ TEST(KernelSelector, RejectsUnknownSelectorsWithTheValidList) {
     std::string error;
     EXPECT_FALSE(bench::parse_kernel_selector(bad, &kernel, &error))
         << "'" << bad << "' must be rejected";
-    EXPECT_NE(error.find("expected legacy, serial, parallel"),
+    EXPECT_NE(error.find("expected serial, parallel, or parallel:N"),
               std::string::npos)
         << "the error should list the valid selectors, got: " << error;
   }
+}
+
+TEST(KernelSelector, RejectsTheRemovedLegacyOrderByName) {
+  sim::KernelConfig kernel;
+  std::string error;
+  EXPECT_FALSE(bench::parse_kernel_selector("legacy", &kernel, &error));
+  EXPECT_NE(error.find("legacy (time, FIFO) event order was removed"),
+            std::string::npos)
+      << "the error should name the removed order, got: " << error;
+  EXPECT_NE(error.find("serial, parallel, or parallel:N"), std::string::npos)
+      << "and list the valid selectors, got: " << error;
 }
 
 }  // namespace

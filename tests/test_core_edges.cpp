@@ -48,16 +48,18 @@ TEST(CoreEdges, ImmediateTimerFiresOnEveryHandover) {
 }
 
 TEST(CoreEdges, YieldTieBreakIsDeterministic) {
-  // Force two equal-weight leaders of the same label by crashing a leader
-  // and letting two members take over near-simultaneously under a lossy
-  // start... Simpler deterministic route: same label via takeover race is
-  // hard to stage; instead verify the rule directly through event counts
-  // across seeds — after any yield storm exactly one leader remains.
   // At 15% loss, spurious receive-timer takeovers still happen every now
-  // and then (P(two consecutive heartbeats lost) ~ 2% per member-window);
-  // the id-based yield must resolve each within a couple of heartbeat
-  // exchanges, so duplicates are a transient minority condition.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+  // and then (P(two consecutive heartbeats lost) ~ 2% per member-window),
+  // leaving two leaders of the same label. The tie-break is by id: every
+  // yield goes to the lower id, and the yields keep duplicates a transient
+  // minority condition. Duplicate time is pooled over 30 seeds, sampled
+  // every 100 ms: over 200 seeds its mean is 12.6% (per-seed sd 6.2%, so
+  // about 1.1% for a 30-seed pool; seeds 1-30 read 14.1%). The 20% bound
+  // fails if duplicates last twice as long.
+  std::uint64_t samples = 0;
+  std::uint64_t duplicate_samples = 0;
+  std::uint64_t yields = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     TestWorld::Options options;
     options.loss_probability = 0.15;
     options.model_collisions = true;
@@ -66,16 +68,24 @@ TEST(CoreEdges, YieldTieBreakIsDeterministic) {
     TestWorld world(options);
     world.add_blob({3.5, 1.0}, 1.8);
     world.run(4);
-    int duplicate_samples = 0;
-    const int samples = 32;
-    for (int s = 0; s < samples; ++s) {
-      world.run(0.5);
+    for (int s = 0; s < 160; ++s) {  // 16 s
+      world.run(0.1);
+      ++samples;
       if (world.leaders().size() > 1) ++duplicate_samples;
     }
-    EXPECT_LT(duplicate_samples, samples / 4)
-        << "seed " << seed << ": duplicates must be transient, "
-        << duplicate_samples << "/" << samples << " samples had two leaders";
+    for (const core::GroupEvent& yield :
+         world.events().events_of(core::GroupEvent::Kind::kYield)) {
+      ++yields;
+      EXPECT_LT(yield.peer.value(), yield.node.value())
+          << "seed " << seed << ": node " << yield.node.value()
+          << " yielded to a higher id";
+    }
   }
+  EXPECT_GT(yields, 0u) << "no takeover race was staged";
+  EXPECT_LT(static_cast<double>(duplicate_samples),
+            0.20 * static_cast<double>(samples))
+      << duplicate_samples << "/" << samples
+      << " samples had two leaders: duplicates must be transient";
 }
 
 TEST(CoreEdges, HeartbeatEstimateTracksEntity) {

@@ -155,8 +155,12 @@ TEST(DutyCycle, CrashOwnsReceiverUntilReboot) {
   CycledWorld world(0.25);
   const NodeId victim{5};
   world.sim->run_for(Duration::seconds(3));
+  // Receiver toggles are channel ops: they run just after the call that
+  // issues them, within a microsecond of simulated time.
+  const auto run_toggles = [&] { world.sim->run_for(Duration::micros(1)); };
 
   world.system->crash_node(victim);
+  run_toggles();
   EXPECT_FALSE(world.system->medium().receiver_enabled(victim));
   EXPECT_EQ(world.system->stack(victim).duty_cycle(), nullptr)
       << "crash must stop the cycle controller";
@@ -170,6 +174,7 @@ TEST(DutyCycle, CrashOwnsReceiverUntilReboot) {
       << "receiver must stay dark across cycle boundaries while crashed";
 
   world.system->reboot_node(victim);
+  run_toggles();
   EXPECT_TRUE(world.system->medium().receiver_enabled(victim));
   ASSERT_NE(world.system->stack(victim).duty_cycle(), nullptr)
       << "reboot must restart duty cycling";

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -14,6 +15,14 @@
 
 namespace et {
 namespace {
+
+/// Schedules `fn` at `at` for one owner, keyed in issue order — the
+/// per-owner sequence the Simulator assigns.
+sim::EventHandle schedule_at(sim::EventQueue& queue, Time at,
+                         sim::EventQueue::Callback fn) {
+  static std::uint64_t seq = 0;
+  return queue.schedule_key(sim::EventKey{at, 0, seq++}, 0, std::move(fn));
+}
 
 TEST(EventQueueStress, CancellationChurnReusesSlots) {
   sim::EventQueue queue;
@@ -23,7 +32,7 @@ TEST(EventQueueStress, CancellationChurnReusesSlots) {
     std::vector<sim::EventHandle> handles;
     handles.reserve(100);
     for (int i = 0; i < 100; ++i) {
-      handles.push_back(queue.schedule(Time::seconds(i + 1), [] {}));
+      handles.push_back(schedule_at(queue, Time::seconds(i + 1), [] {}));
     }
     EXPECT_EQ(queue.size(), 100u);
     for (auto& h : handles) h.cancel();
@@ -37,14 +46,14 @@ TEST(EventQueueStress, CancellationChurnReusesSlots) {
 
 TEST(EventQueueStress, StaleHandleCannotCancelSlotSuccessor) {
   sim::EventQueue queue;
-  sim::EventHandle first = queue.schedule(Time::seconds(1), [] {});
+  sim::EventHandle first = schedule_at(queue, Time::seconds(1), [] {});
   first.cancel();
   ASSERT_FALSE(first.pending());
 
   // The freed slot is recycled; the old handle must miss the new occupant.
   int fired = 0;
   sim::EventHandle second =
-      queue.schedule(Time::seconds(2), [&] { ++fired; });
+      schedule_at(queue, Time::seconds(2), [&] { ++fired; });
   EXPECT_LE(queue.slot_capacity(), 1u);
 
   first.cancel();   // stale generation: must be a no-op
@@ -60,13 +69,13 @@ TEST(EventQueueStress, StaleHandleCannotCancelSlotSuccessor) {
 
 TEST(EventQueueStress, CancelAfterFireIsNoOp) {
   sim::EventQueue queue;
-  sim::EventHandle h = queue.schedule(Time::seconds(1), [] {});
+  sim::EventHandle h = schedule_at(queue, Time::seconds(1), [] {});
   queue.pop().fn();
   EXPECT_FALSE(h.pending());
   h.cancel();  // slot already recycled by pop
 
   // A successor in the reused slot is unaffected by the dead handle.
-  sim::EventHandle next = queue.schedule(Time::seconds(2), [] {});
+  sim::EventHandle next = schedule_at(queue, Time::seconds(2), [] {});
   h.cancel();
   EXPECT_TRUE(next.pending());
   EXPECT_EQ(queue.size(), 1u);
@@ -76,7 +85,7 @@ TEST(EventQueueStress, ClearInvalidatesAllHandles) {
   sim::EventQueue queue;
   std::vector<sim::EventHandle> handles;
   for (int i = 0; i < 32; ++i) {
-    handles.push_back(queue.schedule(Time::seconds(i + 1), [] {}));
+    handles.push_back(schedule_at(queue, Time::seconds(i + 1), [] {}));
   }
   queue.clear();
   EXPECT_TRUE(queue.empty());
@@ -86,7 +95,7 @@ TEST(EventQueueStress, ClearInvalidatesAllHandles) {
     h.cancel();  // must not throw or resurrect anything
   }
   // Slots freed by clear() are reusable.
-  queue.schedule(Time::seconds(1), [] {});
+  schedule_at(queue, Time::seconds(1), [] {});
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_LE(queue.slot_capacity(), 32u);
 }
@@ -94,7 +103,7 @@ TEST(EventQueueStress, ClearInvalidatesAllHandles) {
 TEST(EventQueueStress, HandleOutlivesQueue) {
   std::optional<sim::EventQueue> queue;
   queue.emplace();
-  sim::EventHandle h = queue->schedule(Time::seconds(1), [] {});
+  sim::EventHandle h = schedule_at(*queue, Time::seconds(1), [] {});
   EXPECT_TRUE(h.pending());
   queue.reset();
   EXPECT_FALSE(h.pending());
@@ -107,7 +116,7 @@ TEST(EventQueueStress, CancelReleasesCapturedStateEagerly) {
   sim::EventQueue queue;
   auto token = std::make_shared<int>(42);
   sim::EventHandle h =
-      queue.schedule(Time::seconds(1), [token] { (void)*token; });
+      schedule_at(queue, Time::seconds(1), [token] { (void)*token; });
   EXPECT_EQ(token.use_count(), 2);
   h.cancel();
   EXPECT_EQ(token.use_count(), 1);
@@ -127,9 +136,9 @@ TEST(EventQueueStress, OversizedCallbacksFallBackToHeap) {
 
   auto token = std::make_shared<int>(0);
   int fired = 0;
-  queue.schedule(Time::seconds(1), Big{{}, token, &fired});
+  schedule_at(queue, Time::seconds(1), Big{{}, token, &fired});
   sim::EventHandle cancelled =
-      queue.schedule(Time::seconds(2), Big{{}, token, &fired});
+      schedule_at(queue, Time::seconds(2), Big{{}, token, &fired});
   EXPECT_EQ(token.use_count(), 3);
   cancelled.cancel();
   EXPECT_EQ(token.use_count(), 2);
@@ -161,8 +170,8 @@ TEST(EventQueueStress, RandomizedChurnMatchesModel) {
       const int id = next_id++;
       fired.push_back(false);
       cancelled.push_back(false);
-      handles.push_back(queue.schedule(Time::seconds(step + 1),
-                                       [&fired, id] { fired[id] = true; }));
+      handles.push_back(schedule_at(queue, Time::seconds(step + 1),
+                                      [&fired, id] { fired[id] = true; }));
     } else if (op < 8 && !handles.empty()) {  // cancel a random handle
       const std::size_t pick = rnd(handles.size());
       if (handles[pick].pending()) cancelled[pick] = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -229,21 +230,32 @@ TEST_F(MediumTest, BackedUpQueueDrainsInSendOrderAndDropsNewest) {
   std::vector<int> accepted;
   std::vector<int> dropped;
   int next_id = 0;
+  // Sends a batch and lets it reach the MAC (tx_handoff() later, in send
+  // order). Splits the batch by the drop count, assuming the MAC keeps the
+  // oldest frames; `heard == accepted` below checks that assumption.
   auto send = [&](int count) {
+    const std::uint64_t before = m.stats().of(MsgType::kUser).mac_dropped;
+    std::vector<int> batch;
     for (int k = 0; k < count; ++k) {
-      const int id = next_id++;
-      const std::uint64_t before = m.stats().of(MsgType::kUser).mac_dropped;
+      batch.push_back(next_id);
       m.send(Frame{NodeId{0}, NodeId{1}, MsgType::kUser,
-                   std::make_shared<TaggedPayload>(id)});
-      const bool lost = m.stats().of(MsgType::kUser).mac_dropped != before;
-      (lost ? dropped : accepted).push_back(id);
+                   std::make_shared<TaggedPayload>(next_id++)});
     }
+    sim.run_for(m.tx_handoff());
+    const auto lost = static_cast<std::ptrdiff_t>(
+        m.stats().of(MsgType::kUser).mac_dropped - before);
+    accepted.insert(accepted.end(), batch.begin(), batch.end() - lost);
+    dropped.insert(dropped.end(), batch.end() - lost, batch.end());
   };
   // Frame 0 goes on the air at once, 1-16 fill the queue, 17-19 overflow.
   send(20);
   EXPECT_EQ(dropped, (std::vector<int>{17, 18, 19}));
   // A few frames drain, so the refill wraps around the queue's storage.
-  sim.run_for(Duration::millis(100));
+  // Stop between a reception and the next frame's start: a frame is heard
+  // rx_latency() after it completes and the next queued frame goes on the
+  // air 100 us after that completion, so here every frame taken off the
+  // queue has been heard and the queue has heard.size() free slots.
+  sim.run_for(Duration::millis(90));
   ASSERT_GE(heard.size(), 2u);
   send(static_cast<int>(heard.size()) + 3);
   sim.run_for(Duration::seconds(2));

@@ -16,8 +16,8 @@
 
 /// Parallel-kernel equivalence suite.
 ///
-/// The contract under test: with `canonical_order` on, the serial engine is
-/// a bit-exact oracle for the tiled parallel engine — same seed, same
+/// The contract under test: the serial kernel is a bit-exact oracle for
+/// the tiled parallel engine — same seed, same
 /// scenario, same per-mote event order, same metrics — for every thread
 /// count and tile granularity. Each test digests all deterministic
 /// observables of a run into one string and compares it byte for byte.
@@ -26,11 +26,7 @@ namespace {
 
 using scenario::TankRunResult;
 
-sim::KernelConfig serial_oracle() {
-  sim::KernelConfig k;
-  k.canonical_order = true;
-  return k;
-}
+sim::KernelConfig serial_oracle() { return sim::KernelConfig{}; }
 
 sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
   sim::KernelConfig k;
@@ -52,7 +48,7 @@ const std::vector<sim::KernelConfig>& parallel_grid() {
 }
 
 std::string describe(const sim::KernelConfig& k) {
-  if (!k.use_parallel_kernel) return "serial-canonical";
+  if (!k.use_parallel_kernel) return "serial";
   std::ostringstream os;
   os << "parallel(threads=" << k.threads
      << ", tiles_per_thread=" << k.tiles_per_thread << ")";
@@ -291,9 +287,9 @@ TEST(ParallelKernel, ChaosRunWithInvariantOracleBitExact) {
 }
 
 TEST(ParallelKernel, CanonicalSerialStillTracks) {
-  // The canonical ordering (rx handoff latency, deferred channel ops) is a
-  // different — but equally valid — schedule; the middleware must still
-  // meet the paper's trackability criterion under it.
+  // Under the canonical order's handoff latencies and deferred channel
+  // ops, the middleware must still meet the paper's trackability
+  // criterion on the serial kernel.
   scenario::TankScenarioParams params;
   params.seed = 1;
   params.kernel = serial_oracle();
@@ -322,7 +318,7 @@ TEST(WideWindow, ChaosLookaheadAdmitsNoLateReceptions) {
       }
     });
   }
-  // The serial canonical oracle trivially satisfies the same property.
+  // The serial kernel trivially satisfies the same property.
   run_chaos(serial_oracle(), [](TestWorld& world) {
     EXPECT_EQ(world.sim().late_insertions(), 0u);
   });

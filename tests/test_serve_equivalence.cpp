@@ -13,19 +13,15 @@
 
 /// The serving tier must be a deterministic function of the run, not of
 /// the kernel: `latest`, `history`, and the ingest counters must answer
-/// byte-identically whether the simulation ran on the legacy serial
-/// engine, the canonical serial oracle, or the parallel tiled kernel.
+/// byte-identically whether the simulation ran on the serial kernel or the
+/// parallel tiled kernel.
 /// Ingest hands each decoded report to the master engine via
 /// Simulator::post_op, so batching and fencing replay in canonical key
 /// order regardless of which tile thread delivered the message.
 namespace et::test {
 namespace {
 
-sim::KernelConfig serial_oracle() {
-  sim::KernelConfig k;
-  k.canonical_order = true;
-  return k;
-}
+sim::KernelConfig serial_oracle() { return sim::KernelConfig{}; }
 
 sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
   sim::KernelConfig k;
@@ -46,7 +42,7 @@ const std::vector<sim::KernelConfig>& parallel_grid() {
 }
 
 std::string describe(const sim::KernelConfig& k) {
-  if (!k.use_parallel_kernel) return "serial-canonical";
+  if (!k.use_parallel_kernel) return "serial";
   std::ostringstream os;
   os << "parallel(threads=" << k.threads
      << ", tiles_per_thread=" << k.tiles_per_thread << ")";
@@ -185,13 +181,6 @@ TEST(ServeEquivalence, ChaosStoreBitExactAndInvariantClean) {
     EXPECT_EQ(run_chaos_with_store(k, ok, report), oracle) << describe(k);
     EXPECT_TRUE(ok) << describe(k) << "\n" << report;
   }
-}
-
-/// The legacy (non-canonical) serial engine is a different valid schedule:
-/// not bit-equal to the oracle, but the serving tier must still work.
-TEST(ServeEquivalence, LegacySerialStillServes) {
-  const std::string legacy = run_tank_with_store(sim::KernelConfig{});
-  EXPECT_NE(legacy.find("latest "), std::string::npos) << legacy;
 }
 
 }  // namespace

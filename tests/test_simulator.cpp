@@ -2,17 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace et::sim {
 namespace {
 
+/// Schedules `fn` at `at` for one owner, keyed in issue order — the
+/// per-owner sequence the Simulator assigns.
+EventHandle schedule_at(EventQueue& queue, Time at,
+                         EventQueue::Callback fn) {
+  static std::uint64_t seq = 0;
+  return queue.schedule_key(EventKey{at, 0, seq++}, 0, std::move(fn));
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
-  q.schedule(Time::seconds(2), [&] { fired.push_back(2); });
-  q.schedule(Time::seconds(1), [&] { fired.push_back(1); });
-  q.schedule(Time::seconds(3), [&] { fired.push_back(3); });
+  schedule_at(q, Time::seconds(2), [&] { fired.push_back(2); });
+  schedule_at(q, Time::seconds(1), [&] { fired.push_back(1); });
+  schedule_at(q, Time::seconds(3), [&] { fired.push_back(3); });
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -21,7 +31,7 @@ TEST(EventQueue, SimultaneousEventsFireFifo) {
   EventQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(Time::seconds(1), [&fired, i] { fired.push_back(i); });
+    schedule_at(q, Time::seconds(1), [&fired, i] { fired.push_back(i); });
   }
   while (!q.empty()) q.pop().fn();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
@@ -30,7 +40,7 @@ TEST(EventQueue, SimultaneousEventsFireFifo) {
 TEST(EventQueue, CancelPreventsFiring) {
   EventQueue q;
   bool fired = false;
-  EventHandle h = q.schedule(Time::seconds(1), [&] { fired = true; });
+  EventHandle h = schedule_at(q, Time::seconds(1), [&] { fired = true; });
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
@@ -40,7 +50,7 @@ TEST(EventQueue, CancelPreventsFiring) {
 
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
-  EventHandle h = q.schedule(Time::seconds(1), [] {});
+  EventHandle h = schedule_at(q, Time::seconds(1), [] {});
   q.pop().fn();
   EXPECT_FALSE(h.pending());
   h.cancel();  // must not crash or corrupt
@@ -49,8 +59,8 @@ TEST(EventQueue, CancelAfterFireIsNoop) {
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  EventHandle a = q.schedule(Time::seconds(1), [] {});
-  q.schedule(Time::seconds(2), [] {});
+  EventHandle a = schedule_at(q, Time::seconds(1), [] {});
+  schedule_at(q, Time::seconds(2), [] {});
   EXPECT_EQ(q.size(), 2u);
   a.cancel();
   EXPECT_FALSE(q.empty());

@@ -37,7 +37,7 @@ class TestWorld {
     bool enable_transport = false;
     std::size_t critical_mass = 2;
     Duration freshness = Duration::seconds(1);
-    /// Kernel selection (legacy serial / canonical serial / parallel).
+    /// Kernel selection (serial / parallel).
     sim::KernelConfig kernel;
     std::uint64_t seed = 1;
     /// Hook to adjust the blob spec (attach objects, tweak variables)
