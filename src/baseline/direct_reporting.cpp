@@ -22,7 +22,8 @@ DirectReportingSystem::DirectReportingSystem(sim::Simulator& sim,
   routers_.reserve(field.size());
   for (std::size_t i = 0; i < field.size(); ++i) {
     routers_.push_back(
-        std::make_unique<net::GeoRouting>(network_.mote(NodeId{i})));
+        std::make_unique<net::GeoRouting>(network_.mote(NodeId{i}),
+                                          routing_config_));
   }
   // The base station consumes kUser envelopes carrying raw reports.
   routers_[config_.base_station.value()]->on_delivery(

@@ -106,6 +106,8 @@ class DirectReportingSystem {
   DirectReportingConfig config_;
   radio::Medium medium_;
   node::MoteNetwork network_;
+  /// Shared by every router (default routing parameters).
+  net::RoutingConfig routing_config_;
   std::vector<std::unique_ptr<net::GeoRouting>> routers_;
   std::vector<bool> reporting_;  // per mote: report timer armed
   std::vector<sim::EventHandle> report_timers_;

@@ -15,11 +15,12 @@ constexpr const char* kComponent = "ctx-runtime";
 ContextRuntime::ContextRuntime(node::Mote& mote,
                                const std::vector<ContextTypeSpec>& specs,
                                GroupManager& groups)
-    : mote_(mote), specs_(&specs), groups_(groups), active_(specs.size()) {}
+    : mote_(mote), specs_(&specs), groups_(groups) {}
 
 void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
                                      const PersistentState& inherited) {
   (void)inherited;  // state rides in GroupManager; methods read it there
+  if (active_.empty()) active_.resize(specs_->size());
   const ContextTypeSpec& spec = (*specs_)[type];
   Active active;
   active.label = label;
@@ -60,7 +61,7 @@ void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
 
 void ContextRuntime::on_leader_stop(TypeIndex type, LabelId label) {
   (void)label;
-  if (!active_[type]) return;
+  if (!active(type)) return;
   for (auto& timer : active_[type]->timers) timer.cancel();
   active_[type]->condition_tick.cancel();
   active_[type].reset();
@@ -103,7 +104,7 @@ void ContextRuntime::run_method(TypeIndex type, LabelId label,
 void ContextRuntime::dispatch_port(TypeIndex type, LabelId label, PortId port,
                                    const std::vector<double>& args,
                                    NodeId src) {
-  if (!active_[type] || active_[type]->label != label) return;
+  if (!active(type) || active_[type]->label != label) return;
   const MethodSpec* method =
       (*specs_)[type].method_at(static_cast<std::size_t>(port.value()));
   if (!method) return;

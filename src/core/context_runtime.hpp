@@ -53,7 +53,9 @@ class ContextRuntime {
                      const std::vector<double>& args, NodeId src);
 
   /// True when objects of `type` are currently attached here.
-  bool active(TypeIndex type) const { return active_[type].has_value(); }
+  bool active(TypeIndex type) const {
+    return !active_.empty() && active_[type].has_value();
+  }
 
   const RuntimeStats& stats() const { return stats_; }
 
@@ -85,6 +87,8 @@ class ContextRuntime {
   GroupManager& groups_;
   net::GeoRouting* routing_ = nullptr;
   Transport* transport_ = nullptr;
+  /// One slot per context type, sized on this node's first leadership:
+  /// most motes never lead and never allocate it.
   std::vector<std::optional<Active>> active_;
   RuntimeStats stats_;
 };

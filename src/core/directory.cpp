@@ -116,21 +116,22 @@ Directory::Directory(node::Mote& mote, net::GeoRouting& routing,
                          handle_fence(e);
                        });
   // Replica path: primaries rebroadcast stored updates one hop.
-  mote_.set_handler(radio::MsgType::kDirUpdate,
-                    [this](const radio::Frame& frame) {
-                      const auto* payload = static_cast<const DirUpdatePayload*>(
-                          frame.payload.get());
-                      if (distance(mote_.position(),
-                                   hash_points_[payload->type]) <=
-                          config_.replica_radius) {
-                        if (payload->retire) {
-                          remove(payload->type, payload->entry);
-                        } else {
-                          stats_.replicas_stored++;
-                          store(payload->type, payload->entry, true);
-                        }
-                      }
-                    });
+  mote_.set_handler<&Directory::handle_replica>(radio::MsgType::kDirUpdate,
+                                                this);
+}
+
+void Directory::handle_replica(const radio::Frame& frame) {
+  const auto* payload =
+      static_cast<const DirUpdatePayload*>(frame.payload.get());
+  if (distance(mote_.position(), hash_points_[payload->type]) <=
+      config_.replica_radius) {
+    if (payload->retire) {
+      remove(payload->type, payload->entry);
+    } else {
+      stats_.replicas_stored++;
+      store(payload->type, payload->entry, true);
+    }
+  }
 }
 
 void Directory::on_leader_start(TypeIndex type, LabelId label,

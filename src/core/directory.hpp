@@ -151,6 +151,8 @@ class Directory {
   void handle_query(const net::RouteEnvelope& envelope);
   void handle_reply(const net::RouteEnvelope& envelope);
   void handle_fence(const net::RouteEnvelope& envelope);
+  /// Replica path: a primary's one-hop rebroadcast of a stored update.
+  void handle_replica(const radio::Frame& frame);
   /// Returns false when the update was fenced by a higher-epoch entry.
   bool store(TypeIndex type, const DirectoryEntry& entry, bool replica);
   void remove(TypeIndex type, const DirectoryEntry& entry);

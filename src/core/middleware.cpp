@@ -2,16 +2,15 @@
 
 namespace et::core {
 
-MiddlewareStack::MiddlewareStack(node::Mote& mote,
-                                 const std::vector<ContextTypeSpec>& specs,
-                                 const SenseRegistry& senses,
-                                 const AggregationRegistry& aggregations,
-                                 Rect field_bounds,
-                                 const MiddlewareConfig& config)
+MiddlewareStack::MiddlewareStack(
+    node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
+    const std::vector<GroupTypeProfile>& group_types,
+    const AggregationRegistry& aggregations, Rect field_bounds,
+    const MiddlewareConfig& config)
     : mote_(mote),
       config_(config),
       routing_(mote, config.routing),
-      groups_(mote, specs, senses, aggregations, config.group),
+      groups_(mote, specs, group_types, aggregations, config.group),
       runtime_(mote, specs, groups_) {
   runtime_.set_routing(&routing_);
 
@@ -29,28 +28,8 @@ MiddlewareStack::MiddlewareStack(node::Mote& mote,
                                                         config.duty_cycle);
   }
 
-  groups_.set_leader_start(
-      [this](TypeIndex type, LabelId label, const PersistentState& state) {
-        runtime_.on_leader_start(type, label, state);
-        // become_leader records the epoch before firing this callback, so
-        // current_epoch() is already the epoch this node leads under.
-        if (directory_) {
-          directory_->on_leader_start(type, label, groups_.current_epoch(type));
-        }
-      });
-  groups_.set_leader_stop([this](TypeIndex type, LabelId label) {
-    runtime_.on_leader_stop(type, label);
-    if (directory_) directory_->on_leader_stop(type, label);
-    if (transport_) transport_->on_leader_stop(type, label);
-  });
+  groups_.set_listener(this);
   if (directory_) {
-    groups_.set_epoch_changed([this](TypeIndex type, std::uint64_t epoch) {
-      directory_->on_epoch_change(type, epoch);
-    });
-    groups_.set_label_retired(
-        [this](TypeIndex type, LabelId label, std::uint64_t epoch) {
-          directory_->retire_label(type, label, epoch);
-        });
     directory_->set_leader_fenced(
         [this](TypeIndex type, LabelId label, std::uint64_t epoch,
                NodeId incumbent, Vec2 incumbent_pos) {
@@ -58,12 +37,38 @@ MiddlewareStack::MiddlewareStack(node::Mote& mote,
                                      incumbent_pos);
         });
   }
-  if (transport_) {
-    groups_.set_leader_observed(
-        [this](TypeIndex type, LabelId label, NodeId leader, Vec2 pos) {
-          transport_->on_leader_observed(type, label, leader, pos);
-        });
+}
+
+void MiddlewareStack::on_leader_start(TypeIndex type, LabelId label,
+                                      const PersistentState& state) {
+  runtime_.on_leader_start(type, label, state);
+  // become_leader records the epoch before notifying, so current_epoch()
+  // is already the epoch this node leads under.
+  if (directory_) {
+    directory_->on_leader_start(type, label, groups_.current_epoch(type));
   }
+}
+
+void MiddlewareStack::on_leader_stop(TypeIndex type, LabelId label) {
+  runtime_.on_leader_stop(type, label);
+  if (directory_) directory_->on_leader_stop(type, label);
+  if (transport_) transport_->on_leader_stop(type, label);
+}
+
+void MiddlewareStack::on_leader_observed(TypeIndex type, LabelId label,
+                                         NodeId leader, Vec2 leader_pos) {
+  if (transport_) {
+    transport_->on_leader_observed(type, label, leader, leader_pos);
+  }
+}
+
+void MiddlewareStack::on_epoch_changed(TypeIndex type, std::uint64_t epoch) {
+  if (directory_) directory_->on_epoch_change(type, epoch);
+}
+
+void MiddlewareStack::on_label_retired(TypeIndex type, LabelId label,
+                                       std::uint64_t epoch) {
+  if (directory_) directory_->retire_label(type, label, epoch);
 }
 
 void MiddlewareStack::crash() {

@@ -37,17 +37,18 @@ struct MiddlewareConfig {
   bool enable_duty_cycle = false;
 };
 
-class MiddlewareStack {
+class MiddlewareStack final : private LeadershipListener {
  public:
   /// Handler for application messages (tracking-object reports) consumed at
   /// this node — the base-station role.
   using UserHandler =
       std::function<void(const UserMessagePayload&, NodeId origin)>;
 
-  /// `specs`, `senses`, `aggregations` and `config` are deployment-wide
-  /// (owned by EnviroTrackSystem) and must outlive the stack.
+  /// `specs`, `group_types` (resolve_group_types of the same specs),
+  /// `aggregations` and `config` are deployment-wide (owned by
+  /// EnviroTrackSystem) and must outlive the stack.
   MiddlewareStack(node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
-                  const SenseRegistry& senses,
+                  const std::vector<GroupTypeProfile>& group_types,
                   const AggregationRegistry& aggregations, Rect field_bounds,
                   const MiddlewareConfig& config);
 
@@ -88,6 +89,17 @@ class MiddlewareStack {
   DutyCycleController* duty_cycle() { return duty_cycle_.get(); }
 
  private:
+  // LeadershipListener: the group manager's edges, fanned out to the
+  // runtime, the directory and the transport.
+  void on_leader_start(TypeIndex type, LabelId label,
+                       const PersistentState& state) override;
+  void on_leader_stop(TypeIndex type, LabelId label) override;
+  void on_leader_observed(TypeIndex type, LabelId label, NodeId leader,
+                          Vec2 leader_pos) override;
+  void on_epoch_changed(TypeIndex type, std::uint64_t epoch) override;
+  void on_label_retired(TypeIndex type, LabelId label,
+                        std::uint64_t epoch) override;
+
   void ensure_user_consumer();
 
   node::Mote& mote_;

@@ -91,6 +91,7 @@ TypeIndex EnviroTrackSystem::add_context_type(ContextTypeSpec spec) {
 void EnviroTrackSystem::start() {
   assert(!started_);
   started_ = true;
+  group_types_ = resolve_group_types(specs_, senses_, config_.middleware.group);
   stacks_.reserve(network_.size());
   for (std::size_t i = 0; i < network_.size(); ++i) {
     // Stack construction and start-up schedule per-mote timers (heartbeat
@@ -98,7 +99,7 @@ void EnviroTrackSystem::start() {
     // are engine-independent.
     sim::ExecutingOwnerScope scope(sim_, static_cast<std::uint32_t>(i));
     stacks_.push_back(std::make_unique<MiddlewareStack>(
-        network_.mote(NodeId{i}), specs_, senses_, aggregations_,
+        network_.mote(NodeId{i}), specs_, group_types_, aggregations_,
         field_.bounds(), config_.middleware));
   }
   for (std::size_t i = 0; i < stacks_.size(); ++i) {

@@ -106,6 +106,8 @@ class EnviroTrackSystem {
   SenseRegistry senses_;
   AggregationRegistry aggregations_;
   std::vector<ContextTypeSpec> specs_;
+  /// `specs_` resolved once for every group manager (set by start()).
+  std::vector<GroupTypeProfile> group_types_;
   std::vector<std::unique_ptr<MiddlewareStack>> stacks_;
   /// Journaling proxies handed to the group managers.
   std::vector<std::unique_ptr<GroupObserver>> journaled_observers_;

@@ -40,12 +40,10 @@ class AckPayload final : public radio::Payload {
 
 }  // namespace
 
-GeoRouting::GeoRouting(node::Mote& mote, RoutingConfig config)
+GeoRouting::GeoRouting(node::Mote& mote, const RoutingConfig& config)
     : mote_(mote), config_(config), seen_(config.dedup_capacity) {
-  mote_.set_handler(radio::MsgType::kRoute,
-                    [this](const radio::Frame& f) { handle_route(f); });
-  mote_.set_handler(radio::MsgType::kRouteAck,
-                    [this](const radio::Frame& f) { handle_ack(f); });
+  mote_.set_handler<&GeoRouting::handle_route>(radio::MsgType::kRoute, this);
+  mote_.set_handler<&GeoRouting::handle_ack>(radio::MsgType::kRouteAck, this);
 }
 
 void GeoRouting::on_delivery(radio::MsgType inner_type,

@@ -85,7 +85,10 @@ class GeoRouting {
   /// Upcall on consumed envelopes, keyed by inner message type.
   using DeliveryHandler = std::function<void(const RouteEnvelope&)>;
 
-  GeoRouting(node::Mote& mote, RoutingConfig config = {});
+  /// `config` is deployment-wide and must outlive the router; a temporary
+  /// cannot bind to it.
+  GeoRouting(node::Mote& mote, const RoutingConfig& config);
+  GeoRouting(node::Mote& mote, RoutingConfig&& config) = delete;
 
   /// Registers the consumer for an inner message type.
   void on_delivery(radio::MsgType inner_type, DeliveryHandler handler);
@@ -141,7 +144,7 @@ class GeoRouting {
   using DeliveryTable = std::array<DeliveryHandler, radio::kMsgTypeCount>;
 
   node::Mote& mote_;
-  RoutingConfig config_;
+  const RoutingConfig& config_;
   /// Allocated by the first on_delivery(); most motes only relay and never
   /// register a consumer.
   std::unique_ptr<DeliveryTable> delivery_;

@@ -1,6 +1,7 @@
 #include "node/mote.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 namespace et::node {
@@ -31,18 +32,31 @@ void Mote::unicast(NodeId dst, radio::MsgType type,
 }
 
 void Mote::set_handler(radio::MsgType type, FrameHandler handler) {
-  auto& slot = handlers_[static_cast<std::size_t>(type)];
-  assert(!slot && "each message type has exactly one owning service");
-  slot = std::move(handler);
+  owned_handlers_.push_front(std::move(handler));
+  add_handler(type, Binding{&owned_handlers_.front(),
+                            [](void* context, const radio::Frame& frame) {
+                              (*static_cast<FrameHandler*>(context))(frame);
+                            }});
+}
+
+void Mote::add_handler(radio::MsgType type, Binding binding) {
+  std::uint8_t& slot = handler_slot_[static_cast<std::size_t>(type)];
+  assert(slot == 0 && "each message type has exactly one owning service");
+  if (handler_count_ == kMaxHandlers) {
+    throw std::length_error("Mote::set_handler: more than kMaxHandlers");
+  }
+  handlers_[handler_count_++] = binding;
+  slot = handler_count_;
 }
 
 void Mote::on_frame(const radio::Frame& frame) {
   if (down_) return;
-  const auto& handler = handlers_[static_cast<std::size_t>(frame.type)];
-  if (!handler) return;  // no service interested: drop silently
+  const std::uint8_t slot = handler_slot_[static_cast<std::size_t>(frame.type)];
+  if (slot == 0) return;  // no service interested: drop silently
   // Frame processing costs CPU; under overload the post fails and the frame
   // is effectively lost inside the node.
-  cpu_.post_rx([handler, frame] { handler(frame); });
+  const Binding handler = handlers_[slot - 1];
+  cpu_.post_rx([handler, frame] { handler.call(handler.context, frame); });
 }
 
 sim::EventHandle Mote::after(Duration delay, std::function<void()> fn) {

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <forward_list>
 #include <functional>
 #include <string_view>
 
@@ -25,6 +27,10 @@ namespace et::node {
 class Mote {
  public:
   using FrameHandler = std::function<void(const radio::Frame&)>;
+  /// Most handlers a mote can register: one per message type owned by a
+  /// service in src/ (group management 3, routing 2, directory 1), plus two
+  /// for applications.
+  static constexpr std::size_t kMaxHandlers = 8;
 
   Mote(sim::Simulator& sim, radio::Medium& medium, env::Environment& env,
        NodeId id, Vec2 position, CpuConfig cpu_config = {});
@@ -78,8 +84,18 @@ class Mote {
   void unicast(NodeId dst, radio::MsgType type,
                std::shared_ptr<const radio::Payload> payload);
 
-  /// Registers the handler for one message type. At most one service owns
-  /// each type.
+  /// Registers `service`'s member function `Handler` for one message type.
+  /// At most one service owns each type. The mote stores two pointers, so
+  /// registering allocates nothing.
+  template <auto Handler, typename Service>
+  void set_handler(radio::MsgType type, Service* service) {
+    add_handler(type, Binding{service, [](void* context,
+                                          const radio::Frame& frame) {
+                  (static_cast<Service*>(context)->*Handler)(frame);
+                }});
+  }
+
+  /// Registers any callable for one message type; the mote owns it.
   void set_handler(radio::MsgType type, FrameHandler handler);
 
   // --- Timers (all handler executions go through the CPU model) ---
@@ -105,6 +121,13 @@ class Mote {
   void reboot() { down_ = false; }
 
  private:
+  /// A registered handler: a context pointer and the function applying it.
+  struct Binding {
+    void* context = nullptr;
+    void (*call)(void* context, const radio::Frame& frame) = nullptr;
+  };
+  void add_handler(radio::MsgType type, Binding binding);
+
   sim::Simulator& sim_;
   radio::Medium& medium_;
   env::Environment& env_;
@@ -114,7 +137,14 @@ class Mote {
   Rng rng_;
   bool down_ = false;
   bool sensor_down_ = false;
-  std::array<FrameHandler, radio::kMsgTypeCount> handlers_{};
+  /// Slot of each message type's handler in `handlers_`, plus one (0: no
+  /// handler). Only registered handlers take a slot.
+  std::array<std::uint8_t, radio::kMsgTypeCount> handler_slot_{};
+  std::uint8_t handler_count_ = 0;
+  std::array<Binding, kMaxHandlers> handlers_{};
+  /// Callables registered through the FrameHandler overload; a node keeps
+  /// its address, which the binding points at.
+  std::forward_list<FrameHandler> owned_handlers_;
 };
 
 }  // namespace et::node

@@ -25,7 +25,9 @@ struct RoutingTest : public ::testing::Test {
   RoutingTest() { build(); }
 
   void build(double loss = 0.0, double comm_radius = 1.5,
-             RoutingConfig routing_config = {}) {
+             RoutingConfig config_for_routers = {}) {
+    routers.clear();
+    routing_config = config_for_routers;
     sim.emplace(11);
     env.emplace(sim->make_rng("env"));
     field.emplace(env::Field::grid(5, 8));
@@ -35,7 +37,6 @@ struct RoutingTest : public ::testing::Test {
     config.comm_radius = comm_radius;
     medium.emplace(*sim, config);
     network.emplace(*sim, *medium, *env, *field);
-    routers.clear();
     routers.reserve(field->size());
     for (std::size_t i = 0; i < field->size(); ++i) {
       routers.push_back(std::make_unique<GeoRouting>(
@@ -50,6 +51,8 @@ struct RoutingTest : public ::testing::Test {
   std::optional<env::Field> field;
   std::optional<radio::Medium> medium;
   std::optional<node::MoteNetwork> network;
+  /// Shared by the routers, which refer to it.
+  RoutingConfig routing_config;
   std::vector<std::unique_ptr<GeoRouting>> routers;
 };
 
