@@ -5,7 +5,8 @@
 
 namespace et::sim {
 
-std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner) {
+std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner,
+                                     Duration period) {
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -15,28 +16,34 @@ std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
+  assert(!is_live(slot.generation));
+  ++slot.generation;
   slot.fn = std::move(fn);
   slot.fire_owner = fire_owner;
-  slot.live = true;
+  slot.period = period;
   ++live_count_;
   return index;
 }
 
-EventHandle EventQueue::schedule_key(EventKey key, std::uint32_t fire_owner,
-                                     Callback fn) {
-  const std::uint32_t index = alloc_slot(std::move(fn), fire_owner);
-  const Entry entry{key.time, key.rank, key.seq, index,
-                    slots_[index].generation};
+void EventQueue::push_entry(EventKey key, std::uint32_t slot) {
+  const Entry entry{key.time, key.rank, key.seq, slot,
+                    slots_[slot].generation};
   heap_.push(entry);
   if (key.rank == kWorldRank) world_heap_.push(entry);
+}
+
+EventHandle EventQueue::schedule_key(EventKey key, std::uint32_t fire_owner,
+                                     Callback fn, Duration period) {
+  assert(!period.is_negative());
+  const std::uint32_t index = alloc_slot(std::move(fn), fire_owner, period);
+  push_entry(key, index);
   return EventHandle{alive_, this, index, slots_[index].generation};
 }
 
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  assert(slot.live);
+  assert(is_live(slot.generation));
   slot.fn = nullptr;
-  slot.live = false;
   ++slot.generation;
   free_slots_.push_back(index);
   --live_count_;
@@ -45,15 +52,15 @@ void EventQueue::release_slot(std::uint32_t index) {
 void EventQueue::handle_cancel(std::uint32_t slot, std::uint32_t generation) {
   if (!handle_pending(slot, generation)) return;
   // The heap entry stays behind; its generation no longer matches and
-  // skip_cancelled() drops it when it surfaces.
+  // skip_cancelled() drops it when it surfaces. A periodic event cancelled
+  // from its own callback has no entry queued: rearm() is skipped.
   release_slot(slot);
 }
 
 void EventQueue::skip_cancelled() const {
   while (!heap_.empty()) {
     const Entry& top = heap_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.generation == top.generation) return;
+    if (slots_[top.slot].generation == top.generation) return;
     heap_.pop();
   }
 }
@@ -79,8 +86,7 @@ EventKey EventQueue::next_key() const {
 Time EventQueue::next_world_time() const {
   while (!world_heap_.empty()) {
     const Entry& top = world_heap_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.generation == top.generation) return top.time;
+    if (slots_[top.slot].generation == top.generation) return top.time;
     world_heap_.pop();
   }
   return Time::max();
@@ -91,17 +97,33 @@ EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
   const Entry top = heap_.top();
   heap_.pop();
-  Fired fired{top.time, top.rank, top.seq, slots_[top.slot].fire_owner,
-              std::move(slots_[top.slot].fn)};
-  release_slot(top.slot);
+  if (top.rank == kWorldRank) {
+    // The earliest live event is also the earliest live world event; drop
+    // its index entry now, since a periodic slot keeps its generation.
+    next_world_time();
+    assert(world_heap_.top().slot == top.slot &&
+           world_heap_.top().generation == top.generation);
+    world_heap_.pop();
+  }
+  Slot& slot = slots_[top.slot];
+  Fired fired{top.time,  top.rank,        top.seq,  slot.fire_owner,
+              std::move(slot.fn), slot.period, top.slot, top.generation};
+  if (!slot.period.is_positive()) release_slot(top.slot);
   return fired;
+}
+
+void EventQueue::rearm(Fired&& fired, EventKey key) {
+  assert(still_armed(fired) && fired.period.is_positive());
+  assert(key.time > fired.time);
+  slots_[fired.slot].fn = std::move(fired.fn);
+  push_entry(key, fired.slot);
 }
 
 void EventQueue::clear() {
   while (!heap_.empty()) heap_.pop();
   while (!world_heap_.empty()) world_heap_.pop();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live) release_slot(i);
+    if (is_live(slots_[i].generation)) release_slot(i);
   }
   assert(live_count_ == 0);
 }

@@ -24,6 +24,9 @@
 /// {index, generation} handles; the heap orders plain POD entries.
 /// Cancellation is O(1) — it releases the slot and bumps its generation, so
 /// the stale heap entry and any stale handles are recognised and skipped.
+/// A periodic event is an ordinary slot that stays reserved while its
+/// callback runs and is re-armed in place afterwards, so one slot, one
+/// callback and one handle serve every firing.
 namespace et::sim {
 
 class EventQueue;
@@ -45,31 +48,25 @@ struct EventKey {
       default;
 };
 
-namespace detail {
-/// Control block shared between a periodic chain and its handle (the chain
-/// is a Simulator concept, but the handle type lives here).
-struct ChainControl {
-  bool stopped = false;
-};
-}  // namespace detail
-
-/// Handle used to cancel a scheduled event. Default-constructed handles are
-/// inert; cancelling an already-fired event is a harmless no-op, as is any
-/// use after the owning queue was destroyed.
+/// Handle used to cancel a scheduled event (a periodic one: every future
+/// firing). Default-constructed handles are inert; cancelling an
+/// already-fired event is a harmless no-op, as is any use after the owning
+/// queue was destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevents the event from firing. Safe to call repeatedly.
+  /// Prevents the event from firing. Safe to call repeatedly, and from
+  /// inside the event's own callback.
   inline void cancel();
 
   /// True when the handle refers to an event that has neither fired nor
-  /// been cancelled.
+  /// been cancelled. A periodic event stays pending between (and during)
+  /// its firings until it is cancelled or its queue is cleared.
   inline bool pending() const;
 
  private:
   friend class EventQueue;
-  friend class Simulator;
 
   EventHandle(std::weak_ptr<const void> alive, EventQueue* queue,
               std::uint32_t slot, std::uint32_t generation)
@@ -77,16 +74,12 @@ class EventHandle {
         queue_(queue),
         slot_(slot),
         generation_(generation) {}
-  explicit EventHandle(std::shared_ptr<detail::ChainControl> chain)
-      : chain_(std::move(chain)) {}
 
   /// Liveness token of the owning queue; expires when the queue dies.
   std::weak_ptr<const void> alive_;
   EventQueue* queue_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint32_t generation_ = 0;
-  /// Set only for periodic-chain handles (see Simulator::schedule_periodic).
-  std::shared_ptr<detail::ChainControl> chain_;
 };
 
 class EventQueue {
@@ -97,9 +90,10 @@ class EventQueue {
   /// (equal keys fire in unspecified order) and must not schedule into the
   /// past; `fire_owner` is reported back on pop so the simulator can track
   /// the executing owner. World-ranked keys are additionally indexed for
-  /// next_world_time().
+  /// next_world_time(). A positive `period` makes the event periodic: pop()
+  /// keeps its slot, and rearm() puts it back once its callback returned.
   EventHandle schedule_key(EventKey key, std::uint32_t fire_owner,
-                           Callback fn);
+                           Callback fn, Duration period = Duration::zero());
 
   bool empty() const;
   std::size_t size() const { return live_count_; }
@@ -114,15 +108,37 @@ class EventQueue {
   Time next_world_time() const;
 
   /// Removes and returns the earliest live event. Undefined when empty().
+  /// A one-shot's slot is released; a periodic event's slot stays live
+  /// (and its handles pending) with the callback moved out into `fn`.
   struct Fired {
     Time time;
     std::uint32_t rank;
     std::uint64_t seq;
     std::uint32_t fire_owner;
     Callback fn;
+    /// Zero for a one-shot.
+    Duration period;
+    std::uint32_t slot;
+    std::uint32_t generation;
     EventKey key() const { return EventKey{time, rank, seq}; }
   };
   Fired pop();
+
+  /// True when the periodic event `fired` is still armed: not cancelled
+  /// (nor cleared) while its callback ran.
+  bool still_armed(const Fired& fired) const {
+    return handle_pending(fired.slot, fired.generation);
+  }
+
+  /// Puts the still-armed periodic event `fired` back at `key`, with its
+  /// callback, in the slot it kept.
+  void rearm(Fired&& fired, EventKey key);
+
+  /// Drops a popped event that will not run: a periodic one also gives
+  /// back the slot it kept.
+  void discard(const Fired& fired) {
+    if (fired.period.is_positive()) handle_cancel(fired.slot, fired.generation);
+  }
 
   /// Drops every pending event (and invalidates their handles).
   void clear();
@@ -149,18 +165,25 @@ class EventQueue {
   };
   struct Slot {
     Callback fn;
+    /// Odd while the slot holds a live event: allocation and release each
+    /// bump it, so a stale heap entry or handle never matches.
     std::uint32_t generation = 0;
     std::uint32_t fire_owner = 0;
-    bool live = false;
+    /// Zero for a one-shot.
+    Duration period;
   };
 
+  static bool is_live(std::uint32_t generation) { return generation & 1u; }
+
   bool handle_pending(std::uint32_t slot, std::uint32_t generation) const {
-    return slot < slots_.size() && slots_[slot].live &&
-           slots_[slot].generation == generation;
+    return slot < slots_.size() && slots_[slot].generation == generation;
   }
   void handle_cancel(std::uint32_t slot, std::uint32_t generation);
 
-  std::uint32_t alloc_slot(Callback fn, std::uint32_t fire_owner);
+  std::uint32_t alloc_slot(Callback fn, std::uint32_t fire_owner,
+                           Duration period);
+  /// Queues a heap entry (and a world-index entry) for `slot` at `key`.
+  void push_entry(EventKey key, std::uint32_t slot);
 
   /// Frees a live slot: destroys the callback now (releasing captured
   /// state), bumps the generation so stale heap entries and handles miss,
@@ -172,8 +195,9 @@ class EventQueue {
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   /// Secondary index over live world-ranked events; entries are validated
-  /// lazily against the slab (slot liveness + generation), so cancellation
-  /// needs no bookkeeping here.
+  /// lazily against the slab (slot generation), so cancellation needs no
+  /// bookkeeping here. pop() removes a fired event's entry, because a
+  /// periodic event keeps its slot and generation.
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> world_heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -183,15 +207,10 @@ class EventQueue {
 };
 
 inline void EventHandle::cancel() {
-  if (chain_) {
-    chain_->stopped = true;
-  } else if (queue_ && !alive_.expired()) {
-    queue_->handle_cancel(slot_, generation_);
-  }
+  if (queue_ && !alive_.expired()) queue_->handle_cancel(slot_, generation_);
 }
 
 inline bool EventHandle::pending() const {
-  if (chain_) return !chain_->stopped;
   return queue_ && !alive_.expired() &&
          queue_->handle_pending(slot_, generation_);
 }

@@ -157,9 +157,11 @@ class Simulator {
                              Callback fn);
 
   /// Schedules `fn` every `period`, starting after `first_delay`. The
-  /// returned handle cancels the *entire* periodic chain. Re-arms inherit
-  /// the owner of the firing event, so the whole chain stays owned by
-  /// `owner` (or by the scheduling owner for the unstamped overload).
+  /// returned handle cancels every future firing, also from inside `fn`.
+  /// The event keeps its slot and callback across firings: each re-arm
+  /// takes its key once `fn` has returned, exactly as a schedule issued
+  /// there would, and is owned by the firing event's owner — `owner`, or
+  /// the scheduling owner for the unstamped overload.
   EventHandle schedule_periodic(Duration first_delay, Duration period,
                                 Callback fn);
   EventHandle schedule_periodic_owned(std::uint32_t owner,
@@ -276,7 +278,11 @@ class Simulator {
   /// key that would not sort strictly after the engine's processed bound is
   /// moved to bound.time + 1us. Consumes the owner's sequence counter.
   EventKey make_key(Time at, std::uint32_t owner);
-  EventHandle schedule_as(std::uint32_t owner, Time at, Callback fn);
+  EventHandle schedule_as(std::uint32_t owner, Time at, Callback fn,
+                          Duration period = Duration::zero());
+  /// Puts a periodic event back after its callback returned, unless the
+  /// callback cancelled it.
+  void rearm(EventQueue::Fired& fired);
   void post_op_impl(Duration delay, bool is_send, Callback fn);
   /// Fires events in key order while the next key is <= `bound`.
   std::size_t run_loop(EventKey bound);

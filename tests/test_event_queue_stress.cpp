@@ -193,6 +193,93 @@ TEST(EventQueueStress, RandomizedChurnMatchesModel) {
   EXPECT_LE(queue.slot_capacity(), max_live);
 }
 
+// A handle is the queue's liveness token, the queue, slot and generation:
+// periodic events need nothing more.
+static_assert(sizeof(sim::EventHandle) <= 32);
+
+/// Fires the earliest event the way the simulator's run loop does: a
+/// periodic event is re-armed `period` later (seq `next_seq`) unless its
+/// callback cancelled it.
+void fire_next(sim::EventQueue& queue, std::uint64_t& next_seq) {
+  sim::EventQueue::Fired fired = queue.pop();
+  fired.fn();
+  if (fired.period.is_positive() && queue.still_armed(fired)) {
+    const sim::EventKey key{fired.time + fired.period, fired.rank,
+                            next_seq++};
+    queue.rearm(std::move(fired), key);
+  }
+}
+
+TEST(EventQueueStress, PeriodicSlotSurvivesItsFiringsWithFlatCapacity) {
+  // One periodic event plus a one-shot issued by each firing (the way a
+  // mote timer posts its CPU task): 1,000 firings never need more than the
+  // two slots the first firing used.
+  sim::EventQueue queue;
+  std::uint64_t seq = 0;
+  int ticks = 0;
+  int tasks = 0;
+  sim::EventHandle chain = queue.schedule_key(
+      sim::EventKey{Time::seconds(1), 0, seq++}, 0,
+      [&] {
+        ++ticks;
+        queue.schedule_key(
+            sim::EventKey{Time::seconds(ticks) + Duration::millis(2), 0,
+                          seq++},
+            0, [&] { ++tasks; });
+      },
+      Duration::seconds(1));
+  while (ticks < 1000) fire_next(queue, seq);
+  EXPECT_EQ(queue.slot_capacity(), 2u);
+  EXPECT_TRUE(chain.pending());
+  EXPECT_EQ(tasks, 999);
+  EXPECT_EQ(queue.size(), 2u);  // the chain and the last firing's task
+}
+
+TEST(EventQueueStress, PeriodicSelfCancelHandsSlotToOneShot) {
+  sim::EventQueue queue;
+  std::uint64_t seq = 0;
+  int ticks = 0;
+  int shots = 0;
+  sim::EventHandle chain;
+  sim::EventHandle shot;
+  chain = queue.schedule_key(
+      sim::EventKey{Time::seconds(1), 0, seq++}, 0,
+      [&] {
+        ++ticks;
+        chain.cancel();
+        shot = queue.schedule_key(sim::EventKey{Time::seconds(2), 0, seq++},
+                                  0, [&] { ++shots; });
+      },
+      Duration::seconds(1));
+  fire_next(queue, seq);
+  // The one-shot reused the chain's slot; the chain did not re-arm.
+  EXPECT_EQ(queue.slot_capacity(), 1u);
+  EXPECT_FALSE(chain.pending());
+  EXPECT_TRUE(shot.pending());
+  EXPECT_EQ(queue.size(), 1u);
+  fire_next(queue, seq);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(shots, 1);
+}
+
+TEST(EventQueueStress, ClearStopsPeriodicEvents) {
+  sim::EventQueue queue;
+  std::uint64_t seq = 0;
+  int ticks = 0;
+  sim::EventHandle chain = queue.schedule_key(
+      sim::EventKey{Time::seconds(1), sim::kWorldRank, seq++}, 0,
+      [&] { ++ticks; }, Duration::seconds(1));
+  fire_next(queue, seq);
+  EXPECT_TRUE(chain.pending());
+  EXPECT_EQ(queue.next_world_time(), Time::seconds(2));
+  queue.clear();
+  EXPECT_FALSE(chain.pending());
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.next_world_time(), Time::max());
+  EXPECT_EQ(ticks, 1);
+}
+
 TEST(EventQueueStress, SimulatorCancellationHeavyTimerChurn) {
   // The pattern group management produces: timers constantly re-armed
   // (cancel + schedule) and only occasionally allowed to fire.

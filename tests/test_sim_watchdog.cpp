@@ -56,6 +56,26 @@ TEST(SimWatchdog, TrippedSimulatorStaysFrozen) {
   EXPECT_EQ(sim.now(), Time::seconds(2));
 }
 
+TEST(SimWatchdog, TripDropsThePeriodicEventItPopped) {
+  // The firing that trips the watchdog is dropped unfired; a periodic
+  // event dropped that way gives its slot back instead of staying
+  // pending forever.
+  Simulator sim(1);
+  WatchdogConfig config;
+  config.enabled = true;
+  config.max_events_per_sim_second = 50;
+  sim.set_watchdog(config);
+
+  std::uint64_t fired = 0;
+  EventHandle storm = sim.schedule_periodic(
+      Duration::millis(1), Duration::millis(1), [&fired] { ++fired; });
+  sim.run_for(Duration::seconds(1));
+  ASSERT_TRUE(sim.watchdog_report().tripped);
+  EXPECT_EQ(fired, 50u);
+  EXPECT_FALSE(storm.pending());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(SimWatchdog, HealthyRunDoesNotTrip) {
   Simulator sim(1);
   WatchdogConfig config;
