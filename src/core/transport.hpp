@@ -53,10 +53,9 @@ struct TransportConfig {
   /// and under burst loss that amplification congests the channel the
   /// original frame needed to get through. With the default RoutingConfig
   /// one lossy hop's ladder alone takes about 1.05-1.6 s (150, 300 and
-  /// 600 ms ack timeouts, each plus up to 50% jitter), so this first
-  /// timeout fires before a hop that exhausts its ladder gives up; the
-  /// doubling covers the later retries.
-  Duration retry_timeout = Duration::millis(1200);
+  /// 600 ms ack timeouts, each plus up to 50% jitter), so the first
+  /// timeout waits out one exhausted ladder plus the ack's way back.
+  Duration retry_timeout = Duration::millis(2500);
   /// Uniform jitter fraction added to every retransmit delay (timeout *
   /// [1, 1 + jitter]), drawn from the mote's deterministic RNG stream so
   /// synchronized senders desynchronize without breaking reproducibility.

@@ -208,9 +208,16 @@ TEST(ReliableTransport, RetryBudgetExhaustionFiresDeliveryFailed) {
                              mtp.position(*station_leader));
   mtp.isolate(*blob_leader);  // never healed: the transfer cannot succeed
   origin->invoke(1, label, PortId{0}, {7.0});
-  // Past the full ladder: four retransmits plus the final x16 timer before
-  // the failure fires — 1.2 s x (1+2+4+8+16) x jitter, up to ~47 s.
-  mtp.world->run(48);
+  // Run past the whole retry budget, whatever its timing: the timer
+  // doubles from retry_timeout through max_retries retransmits, the
+  // failure fires when the last doubled timer expires, and jitter
+  // stretches each delay by at most (1 + retry_jitter). One more second
+  // covers the timers' CPU service.
+  const core::TransportConfig& config = origin->config();
+  const double ladder = static_cast<double>((2 << config.max_retries) - 1);
+  const Duration horizon =
+      config.retry_timeout * (ladder * (1.0 + config.retry_jitter));
+  mtp.world->run(horizon.to_seconds() + 1.0);
 
   EXPECT_EQ(mtp.pings, 0);
   EXPECT_EQ(failures, 1);
