@@ -111,9 +111,9 @@ void BM_MediumBroadcast(benchmark::State& state) {
   const std::size_t n = state.range(0);
   for (std::size_t i = 0; i < n; ++i) {
     medium.attach(NodeId{i}, {static_cast<double>(i % 10),
-                              static_cast<double>(i / 10)},
-                  [](const radio::Frame&) {});
+                              static_cast<double>(i / 10)});
   }
+  medium.set_receiver([](NodeId, const radio::Frame&) {});
   class Junk final : public radio::Payload {
    public:
     std::size_t size_bytes() const override { return 16; }
@@ -143,9 +143,9 @@ void BM_DenseBroadcast(benchmark::State& state) {
   const std::size_t side = static_cast<std::size_t>(std::sqrt(n)) + 1;
   for (std::size_t i = 0; i < n; ++i) {
     medium.attach(NodeId{i}, {static_cast<double>(i % side),
-                              static_cast<double>(i / side)},
-                  [](const radio::Frame&) {});
+                              static_cast<double>(i / side)});
   }
+  medium.set_receiver([](NodeId, const radio::Frame&) {});
   class Junk final : public radio::Payload {
    public:
     std::size_t size_bytes() const override { return 16; }

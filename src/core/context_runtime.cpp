@@ -17,10 +17,18 @@ ContextRuntime::ContextRuntime(node::Mote& mote,
                                GroupManager& groups)
     : mote_(mote), specs_(&specs), groups_(groups) {}
 
+const RuntimeStats& ContextRuntime::stats() const {
+  static const RuntimeStats kNeverLed;
+  return objects_ ? objects_->stats : kNeverLed;
+}
+
 void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
                                      const PersistentState& inherited) {
   (void)inherited;  // state rides in GroupManager; methods read it there
-  if (active_.empty()) active_.resize(specs_->size());
+  if (!objects_) {
+    objects_ = std::make_unique<Objects>();
+    objects_->slots.resize(specs_->size());
+  }
   const ContextTypeSpec& spec = (*specs_)[type];
   Active active;
   active.label = label;
@@ -36,8 +44,9 @@ void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
         active.timers.push_back(mote_.every(
             first, method.invocation.period, [this, type, label, m] {
               // Leadership may have moved between the timer post and now.
-              if (!active_[type] || active_[type]->label != label) return;
-              stats_.timer_invocations++;
+              const auto& slot = objects_->slots[type];
+              if (!slot || slot->label != label) return;
+              objects_->stats.timer_invocations++;
               run_method(type, label, *m, nullptr, NodeId{});
             }));
       }
@@ -49,11 +58,12 @@ void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
   // Condition-invoked methods piggyback on the middleware tick cadence.
   const Duration tick = groups_.config().sense_poll_period;
   active.condition_tick = mote_.every(tick, tick, [this, type, label] {
-    if (!active_[type] || active_[type]->label != label) return;
+    const auto& slot = objects_->slots[type];
+    if (!slot || slot->label != label) return;
     evaluate_conditions(type);
   });
 
-  active_[type] = std::move(active);
+  objects_->slots[type] = std::move(active);
   ET_DEBUG(kComponent, "node %llu attaches objects of type %u (label %llu)",
            static_cast<unsigned long long>(mote_.id().value()), type,
            static_cast<unsigned long long>(label.value()));
@@ -62,29 +72,31 @@ void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
 void ContextRuntime::on_leader_stop(TypeIndex type, LabelId label) {
   (void)label;
   if (!active(type)) return;
-  for (auto& timer : active_[type]->timers) timer.cancel();
-  active_[type]->condition_tick.cancel();
-  active_[type].reset();
+  std::optional<Active>& slot = objects_->slots[type];
+  for (auto& timer : slot->timers) timer.cancel();
+  slot->condition_tick.cancel();
+  slot.reset();
 }
 
 void ContextRuntime::evaluate_conditions(TypeIndex type) {
   const ContextTypeSpec& spec = (*specs_)[type];
   // A method body may detach this very context (e.g. by crashing the node,
-  // as the minesweeper's detonation does), so re-validate `active_[type]`
-  // after every invocation instead of holding a reference across them.
-  const LabelId label = active_[type]->label;
+  // as the minesweeper's detonation does), so re-validate the slot after
+  // every invocation. The slot itself stays put: the table is sized once.
+  std::optional<Active>& slot = objects_->slots[type];
+  const LabelId label = slot->label;
   std::size_t method_index = 0;
   for (const ObjectSpec& object : spec.objects) {
     for (const MethodSpec& method : object.methods) {
-      if (!active_[type] || active_[type]->label != label) return;
+      if (!slot || slot->label != label) return;
       if (method.invocation.kind == InvocationSpec::Kind::kCondition &&
           method.invocation.condition) {
         TrackingContext ctx(*this, type, label, nullptr, NodeId{});
         const bool now_true = method.invocation.condition(ctx);
-        const bool was_true = active_[type]->condition_state[method_index];
-        active_[type]->condition_state[method_index] = now_true;
+        const bool was_true = slot->condition_state[method_index];
+        slot->condition_state[method_index] = now_true;
         if (now_true && !was_true) {
-          stats_.condition_invocations++;
+          objects_->stats.condition_invocations++;
           run_method(type, label, method, nullptr, NodeId{});
         }
       }
@@ -104,11 +116,11 @@ void ContextRuntime::run_method(TypeIndex type, LabelId label,
 void ContextRuntime::dispatch_port(TypeIndex type, LabelId label, PortId port,
                                    const std::vector<double>& args,
                                    NodeId src) {
-  if (!active(type) || active_[type]->label != label) return;
+  if (!active(type) || objects_->slots[type]->label != label) return;
   const MethodSpec* method =
       (*specs_)[type].method_at(static_cast<std::size_t>(port.value()));
   if (!method) return;
-  stats_.remote_invocations++;
+  objects_->stats.remote_invocations++;
   run_method(type, label, *method, &args, src);
 }
 
@@ -116,7 +128,7 @@ void ContextRuntime::context_send_to_node(TypeIndex type, LabelId label,
                                           NodeId dst, std::string tag,
                                           std::vector<double> data) {
   if (!routing_) return;
-  stats_.reports_to_nodes++;
+  objects_->stats.reports_to_nodes++;
   auto payload = std::make_shared<UserMessagePayload>(
       std::move(tag), label, mote_.id(), std::move(data));
   payload->epoch = groups_.current_epoch(type);

@@ -54,10 +54,11 @@ class ContextRuntime {
 
   /// True when objects of `type` are currently attached here.
   bool active(TypeIndex type) const {
-    return !active_.empty() && active_[type].has_value();
+    return objects_ && objects_->slots[type].has_value();
   }
 
-  const RuntimeStats& stats() const { return stats_; }
+  /// Zero on a mote that never led.
+  const RuntimeStats& stats() const;
 
   // --- Backend for TrackingContext ---
   node::Mote& mote() { return mote_; }
@@ -82,15 +83,20 @@ class ContextRuntime {
                   const std::vector<double>* args, NodeId src);
   void evaluate_conditions(TypeIndex type);
 
+  /// The object table: one slot per context type, and the invocation
+  /// counts (every invocation runs on a leader).
+  struct Objects {
+    std::vector<std::optional<Active>> slots;
+    RuntimeStats stats;
+  };
+
   node::Mote& mote_;
   const std::vector<ContextTypeSpec>* specs_;
   GroupManager& groups_;
   net::GeoRouting* routing_ = nullptr;
   Transport* transport_ = nullptr;
-  /// One slot per context type, sized on this node's first leadership:
-  /// most motes never lead and never allocate it.
-  std::vector<std::optional<Active>> active_;
-  RuntimeStats stats_;
+  /// Allocated on this node's first leadership: most motes never lead.
+  std::unique_ptr<Objects> objects_;
 };
 
 }  // namespace et::core

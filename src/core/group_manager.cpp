@@ -97,18 +97,9 @@ std::vector<GroupTypeProfile> resolve_group_types(
 }
 
 GroupManager::GroupManager(node::Mote& mote,
-                           const std::vector<ContextTypeSpec>& specs,
-                           const std::vector<GroupTypeProfile>& types,
-                           const AggregationRegistry& aggregations,
-                           const GroupConfig& config)
-    : mote_(mote),
-      specs_(&specs),
-      types_(&types),
-      aggregations_(&aggregations),
-      config_(config),
-      hb_seen_(256),
-      report_seen_(256) {
-  assert(types.size() == specs.size());
+                           const GroupDeployment& deployment)
+    : mote_(mote), deployment_(deployment) {
+  assert(deployment.types.size() == deployment.specs.size());
   mote_.set_handler<&GroupManager::handle_heartbeat>(radio::MsgType::kHeartbeat,
                                                      this);
   mote_.set_handler<&GroupManager::handle_report>(radio::MsgType::kReport,
@@ -117,14 +108,26 @@ GroupManager::GroupManager(node::Mote& mote,
       radio::MsgType::kRelinquish, this);
 }
 
+GroupManager::Active& GroupManager::activate() {
+  if (!active_) active_ = std::make_unique<Active>();
+  return *active_;
+}
+
+const GroupStats& GroupManager::stats() const {
+  static const GroupStats kNeverActive;
+  return active_ ? active_->stats : kNeverActive;
+}
+
 const GroupManager::TypeState& GroupManager::peek(TypeIndex type) const {
   static const TypeState kNeverEngaged;
-  return state_ ? state_[type] : kNeverEngaged;
+  const TypeState* states = engaged_states();
+  return states ? states[type] : kNeverEngaged;
 }
 
 GroupManager::TypeState& GroupManager::engage(TypeIndex type) {
-  if (!state_) state_ = std::make_unique<TypeState[]>(type_count());
-  return state_[type];
+  Active& active = activate();
+  if (!active.types) active.types = std::make_unique<TypeState[]>(type_count());
+  return active.types[type];
 }
 
 void GroupManager::start() {
@@ -138,18 +141,19 @@ void GroupManager::arm_poll_timer() {
   // Stagger poll phases across motes so the deployment's sensing (and the
   // traffic it triggers) does not synchronize.
   const Duration phase =
-      config_.sense_poll_period * mote_.rng().next_double();
-  poll_timer_ = mote_.every(config_.sense_poll_period + phase,
-                            config_.sense_poll_period,
+      config().sense_poll_period * mote_.rng().next_double();
+  poll_timer_ = mote_.every(config().sense_poll_period + phase,
+                            config().sense_poll_period,
                             [this] { poll_senses(); });
 }
 
 void GroupManager::crash() {
   alive_ = false;
   poll_timer_.cancel();
-  if (!state_) return;
+  TypeState* states = engaged_states();
+  if (!states) return;
   for (std::size_t i = 0; i < type_count(); ++i) {
-    TypeState& ts = state_[i];
+    TypeState& ts = states[i];
     if (ts.role == Role::kLeader && listener_) {
       listener_->on_leader_stop(static_cast<TypeIndex>(i), ts.label);
     }
@@ -169,12 +173,13 @@ void GroupManager::crash() {
 void GroupManager::reboot() {
   assert(started_ && "reboot() requires a started service");
   assert(!alive_ && "reboot() is only valid after crash()");
-  for (std::size_t i = 0; state_ && i < type_count(); ++i) {
+  TypeState* states = engaged_states();
+  for (std::size_t i = 0; states && i < type_count(); ++i) {
     // crash() already cancelled every timer and dropped the role; wipe the
     // remaining volatile protocol memory so the node rejoins like a
     // factory-new mote. The storage itself stays: CPU tasks posted before
     // the crash may still run and look at it.
-    TypeState& ts = state_[i];
+    TypeState& ts = states[i];
     ts.label = LabelId{};
     ts.weight = 0;
     ts.hb_seq = 0;
@@ -197,8 +202,10 @@ void GroupManager::reboot() {
     ts.cand_epoch = 0;
     ts.cand_state.clear();
   }
-  hb_seen_.clear();
-  report_seen_.clear();
+  if (active_) {
+    active_->hb_seen.clear();
+    active_->report_seen.clear();
+  }
   alive_ = true;
   arm_poll_timer();
 }
@@ -224,14 +231,14 @@ AggregateStateTable* GroupManager::aggregates(TypeIndex type) {
 void GroupManager::emit(GroupEvent::Kind kind, TypeIndex type, LabelId label,
                         NodeId peer, std::uint64_t weight,
                         std::uint64_t epoch) {
-  if (observers_.empty()) return;
+  if (deployment_.observers.empty()) return;
   GroupEvent event{kind,  mote_.now(), mote_.id(), type,
                    label, peer,        weight,     epoch};
-  for (GroupObserver* obs : observers_) obs->on_group_event(event);
+  for (GroupObserver* obs : deployment_.observers) obs->on_group_event(event);
 }
 
 bool GroupManager::is_sensing(TypeIndex type, Role role) const {
-  const GroupTypeProfile& profile = (*types_)[type];
+  const GroupTypeProfile& profile = deployment_.types[type];
   if (role == Role::kIdle) return (*profile.activation)(mote_);
   // Active nodes leave on the deactivation condition, which defaults to the
   // inverse of the activation condition (§3.2.1, footnote 1).
@@ -268,10 +275,10 @@ void GroupManager::poll_senses() {
             // arrives meanwhile we join instead of forking a new label.
             ts.creation_pending = true;
             const Duration delay =
-                config_.creation_delay_max *
+                config().creation_delay_max *
                 (0.1 + 0.9 * mote_.rng().next_double());
             ts.creation_timer = mote_.after(delay, [this, type] {
-              TypeState& st = state_[type];
+              TypeState& st = state_of(type);
               st.creation_pending = false;
               if (!alive_ || st.role != Role::kIdle) return;
               if (!is_sensing(type, st.role)) return;
@@ -294,7 +301,7 @@ void GroupManager::poll_senses() {
         break;
       case Role::kLeader:
         if (!sensing) {
-          if (config_.relinquish_enabled) {
+          if (config().relinquish_enabled) {
             relinquish(type);
           } else {
             // Worst-case mode: the leader goes silent and the group must
@@ -309,7 +316,7 @@ void GroupManager::poll_senses() {
 
 void GroupManager::create_label(TypeIndex type) {
   const LabelId label = LabelId::make(mote_.id(), next_label_seq_++);
-  stats_.labels_created++;
+  active_->stats.labels_created++;
   emit(GroupEvent::Kind::kLabelCreated, type, label, mote_.id(), 0, 1);
   ET_DEBUG(kComponent, "node %llu creates label %llu (type %u)",
            static_cast<unsigned long long>(mote_.id().value()),
@@ -321,7 +328,7 @@ void GroupManager::become_leader(TypeIndex type, LabelId label,
                                  std::uint64_t weight, std::uint64_t epoch,
                                  PersistentState inherited,
                                  GroupEvent::Kind cause) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   ts.receive_timer.cancel();
   ts.candidacy_timer.cancel();
   ts.wait_timer.cancel();
@@ -338,8 +345,8 @@ void GroupManager::become_leader(TypeIndex type, LabelId label,
   // Random sequence start so a successor's heartbeats are never confused
   // with the predecessor's in peers' dedup caches.
   ts.hb_seq = static_cast<std::uint32_t>(mote_.rng().next_u64());
-  ts.agg = std::make_unique<AggregateStateTable>((*specs_)[type],
-                                                 *aggregations_);
+  ts.agg = std::make_unique<AggregateStateTable>(deployment_.specs[type],
+                                                 deployment_.aggregations);
 
   if (cause != GroupEvent::Kind::kBecameLeader) {
     emit(cause, type, label, mote_.id(), weight, epoch);
@@ -349,21 +356,21 @@ void GroupManager::become_leader(TypeIndex type, LabelId label,
 
   send_heartbeat(type);
   ts.heartbeat_timer =
-      mote_.every(config_.heartbeat_period, config_.heartbeat_period,
+      mote_.every(config().heartbeat_period, config().heartbeat_period,
                   [this, type] {
-                    if (state_[type].role == Role::kLeader) {
+                    if (state_of(type).role == Role::kLeader) {
                       send_heartbeat(type);
                     }
                   });
   start_report_timer(type);
-  if (listener_) listener_->on_leader_start(type, label, state_[type].state);
+  if (listener_) listener_->on_leader_start(type, label, state_of(type).state);
 }
 
 void GroupManager::on_directory_fence(TypeIndex type, LabelId label,
                                       std::uint64_t epoch, NodeId incumbent,
                                       Vec2 incumbent_pos) {
   if (!alive_ || type >= type_count()) return;
-  if (!config_.epoch_fencing_enabled) return;
+  if (!config().epoch_fencing_enabled) return;
   TypeState* found = find(type);
   // The notice races against local progress: leadership may have lapsed,
   // moved to another label, or absorbed an epoch at least as new.
@@ -378,17 +385,17 @@ void GroupManager::on_directory_fence(TypeIndex type, LabelId label,
   // continuity) than a fence, which dissolves the whole local group.
   // Fences exist for the incarnation the duel can never reach.
   const double duel_range =
-      std::min(config_.heartbeat_range.value_or(
+      std::min(config().heartbeat_range.value_or(
                    mote_.medium().config().comm_radius),
                mote_.medium().config().comm_radius);
   if (distance(mote_.position(), incumbent_pos) <= duel_range) return;
-  stats_.fenced++;
+  active_->stats.fenced++;
   stop_leading(type, GroupEvent::Kind::kFenced, incumbent);
 }
 
 void GroupManager::stop_leading(TypeIndex type, GroupEvent::Kind cause,
                                 NodeId peer) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   assert(ts.role == Role::kLeader);
   ts.heartbeat_timer.cancel();
   ts.report_timer.cancel();
@@ -412,7 +419,7 @@ void GroupManager::stop_leading(TypeIndex type, GroupEvent::Kind cause,
     payload->epoch = ts.epoch;
     payload->dissolve = true;
     mote_.broadcast(radio::MsgType::kRelinquish, std::move(payload),
-                    config_.heartbeat_range);
+                    config().heartbeat_range);
   }
   if (cause != GroupEvent::Kind::kLostLeadership) {
     emit(cause, type, label, peer, ts.weight, ts.epoch);
@@ -429,7 +436,7 @@ void GroupManager::become_member(TypeIndex type, LabelId label, NodeId leader,
                                  Vec2 leader_pos, std::uint64_t leader_weight,
                                  std::uint64_t leader_epoch,
                                  PersistentState state_seen) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   ts.wait_timer.cancel();
   ts.creation_timer.cancel();
   ts.creation_pending = false;
@@ -445,7 +452,7 @@ void GroupManager::become_member(TypeIndex type, LabelId label, NodeId leader,
   // wait-path memory): a member that must take over before hearing another
   // heartbeat restores this, not an empty table (§5.2 state handoff).
   ts.last_state_seen = std::move(state_seen);
-  stats_.joins++;
+  active_->stats.joins++;
   emit(GroupEvent::Kind::kJoined, type, label, leader, leader_weight,
        leader_epoch);
   arm_receive_timer(type);
@@ -453,7 +460,7 @@ void GroupManager::become_member(TypeIndex type, LabelId label, NodeId leader,
 }
 
 void GroupManager::leave_group(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   assert(ts.role == Role::kMember);
   ts.receive_timer.cancel();
   ts.report_timer.cancel();
@@ -464,14 +471,14 @@ void GroupManager::leave_group(TypeIndex type) {
 }
 
 void GroupManager::relinquish(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   assert(ts.role == Role::kLeader);
-  stats_.relinquishes++;
+  active_->stats.relinquishes++;
   auto payload = std::make_shared<RelinquishPayload>(
       type, ts.label, mote_.id(), ts.weight, ts.hb_seq, ts.state);
   payload->epoch = ts.epoch;
   mote_.broadcast(radio::MsgType::kRelinquish, std::move(payload),
-                  config_.heartbeat_range);
+                  config().heartbeat_range);
   stop_leading(type, GroupEvent::Kind::kRelinquish, mote_.id());
 }
 
@@ -480,14 +487,14 @@ void GroupManager::relinquish(TypeIndex type) {
 // ---------------------------------------------------------------------------
 
 void GroupManager::arm_receive_timer(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   ts.receive_timer.cancel();
   ts.receive_timer = mote_.after(receive_timeout(),
                                  [this, type] { on_receive_timeout(type); });
 }
 
 void GroupManager::on_receive_timeout(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   if (!alive_ || ts.role != Role::kMember) return;
   // Guard against the CPU-queue race: a heartbeat may have been processed
   // after this timeout was posted.
@@ -498,7 +505,7 @@ void GroupManager::on_receive_timeout(TypeIndex type) {
   if (is_sensing(type, ts.role)) {
     // Leadership takeover: continue the same label, carrying the last known
     // weight and committed state (§5.2).
-    stats_.takeovers++;
+    active_->stats.takeovers++;
     ET_DEBUG(kComponent, "node %llu takes over label %llu",
              static_cast<unsigned long long>(mote_.id().value()),
              static_cast<unsigned long long>(ts.label.value()));
@@ -511,10 +518,10 @@ void GroupManager::on_receive_timeout(TypeIndex type) {
 }
 
 void GroupManager::start_report_timer(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   ts.report_timer.cancel();
-  if ((*specs_)[type].variables.empty()) return;
-  const Duration period = (*types_)[type].report_period;
+  if (deployment_.specs[type].variables.empty()) return;
+  const Duration period = deployment_.types[type].report_period;
   ts.report_timer =
       mote_.every(period, period, [this, type] { send_report(type); });
 }
@@ -526,7 +533,7 @@ void GroupManager::start_report_timer(TypeIndex type) {
 Vec2 GroupManager::entity_estimate(TypeIndex type) const {
   const TypeState& ts = peek(type);
   if (ts.role == Role::kLeader && ts.agg) {
-    const ContextTypeSpec& spec = (*specs_)[type];
+    const ContextTypeSpec& spec = deployment_.specs[type];
     for (std::size_t i = 0; i < spec.variables.size(); ++i) {
       if (spec.variables[i].sensor != "position") continue;
       if (auto value = ts.agg->read(i, mote_.now());
@@ -541,23 +548,23 @@ Vec2 GroupManager::entity_estimate(TypeIndex type) const {
 }
 
 void GroupManager::send_heartbeat(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   assert(ts.role == Role::kLeader);
-  stats_.heartbeats_sent++;
+  active_->stats.heartbeats_sent++;
   auto payload = std::make_shared<HeartbeatPayload>(
       type, ts.label, mote_.id(), mote_.position(), entity_estimate(type),
-      ts.weight, ++ts.hb_seq, config_.perimeter_hops, ts.state);
+      ts.weight, ++ts.hb_seq, config().perimeter_hops, ts.state);
   payload->epoch = ts.epoch;
   // Our own heartbeats must not be re-processed when relayed back.
-  hb_seen_.put(hb_key(ts.label, ts.hb_seq), true);
+  active_->hb_seen.put(hb_key(ts.label, ts.hb_seq), true);
   mote_.broadcast(radio::MsgType::kHeartbeat, std::move(payload),
-                  config_.heartbeat_range);
+                  config().heartbeat_range);
 }
 
 void GroupManager::send_report(TypeIndex type) {
-  TypeState& ts = state_[type];
+  TypeState& ts = state_of(type);
   if (!alive_ || ts.role == Role::kIdle) return;
-  const ContextTypeSpec& spec = (*specs_)[type];
+  const ContextTypeSpec& spec = deployment_.specs[type];
 
   std::vector<double> scalars;
   scalars.reserve(spec.variables.size());
@@ -574,7 +581,7 @@ void GroupManager::send_report(TypeIndex type) {
     return;
   }
   if (!ts.leader.is_valid()) return;
-  stats_.reports_sent++;
+  active_->stats.reports_sent++;
   auto payload = std::make_shared<ReportPayload>(
       type, ts.label, mote_.id(), mote_.position(), mote_.now(),
       std::move(scalars));
@@ -583,11 +590,11 @@ void GroupManager::send_report(TypeIndex type) {
   // through fellow group members (§3.2.1's multi-hop connectivity).
   const double leader_distance = distance(mote_.position(), ts.leader_pos);
   if (leader_distance <= mote_.medium().config().comm_radius ||
-      config_.report_relay_hops == 0) {
+      config().report_relay_hops == 0) {
     mote_.unicast(ts.leader, radio::MsgType::kReport, std::move(payload));
   } else {
-    payload->relay_budget = config_.report_relay_hops;
-    report_seen_.put(report_key(*payload), true);
+    payload->relay_budget = config().report_relay_hops;
+    active_->report_seen.put(report_key(*payload), true);
     mote_.broadcast(radio::MsgType::kReport, std::move(payload));
   }
 }
@@ -606,13 +613,14 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
     listener_->on_leader_observed(type, hp->label, hp->leader, hp->leader_pos);
   }
 
+  Active& active = activate();
   const std::uint64_t key = hb_key(hp->label, hp->seq);
-  const bool already_seen = hb_seen_.contains(key);
-  hb_seen_.put(key, true);
+  const bool already_seen = active.hb_seen.contains(key);
+  active.hb_seen.put(key, true);
 
   switch (role(type)) {
     case Role::kLeader: {
-      TypeState& ts = state_[type];
+      TypeState& ts = state_of(type);
       if (hp->leader == mote_.id()) break;  // our own relayed heartbeat
       if (hp->label == ts.label) {
         // Two leaders inside one context label group (§5.2: "the leader
@@ -629,29 +637,29 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
         // handle_report.
         const bool other_wins = hp->leader.value() < mote_.id().value();
         if (other_wins) {
-          stats_.yields++;
+          active.stats.yields++;
           stop_leading(type, GroupEvent::Kind::kYield, hp->leader);
           become_member(type, hp->label, hp->leader, hp->leader_pos,
                         hp->weight, hp->epoch, hp->state);
-        } else if (config_.epoch_fencing_enabled && hp->epoch > ts.epoch) {
+        } else if (config().epoch_fencing_enabled && hp->epoch > ts.epoch) {
           // We win the duel but the rival incarnation is newer: adopt its
           // epoch (Raft-style term absorption) so our heartbeats, reports
           // and directory refreshes are not fenced as stale downstream,
           // and so the rival sees an equal epoch and settles on id.
-          stats_.epochs_absorbed++;
+          active.stats.epochs_absorbed++;
           ts.epoch = hp->epoch;
           if (listener_) listener_->on_epoch_changed(type, ts.epoch);
         }
-      } else if (config_.weight_suppression_enabled &&
+      } else if (config().weight_suppression_enabled &&
                  hp->weight > ts.weight &&
                  distance(entity_estimate(type), hp->estimate) <=
-                     config_.suppression_radius) {
+                     config().suppression_radius) {
         // A heavier label of the same type tracking (by its estimate) the
         // same stimulus: ours is spurious. "They delete their context
         // label and become regular members of the other leader's group."
         // Labels whose estimates are far apart track physically separated
         // entities and must coexist (§3.2.1).
-        stats_.suppressions++;
+        active.stats.suppressions++;
         stop_leading(type, GroupEvent::Kind::kLabelSuppressed, hp->leader);
         become_member(type, hp->label, hp->leader, hp->leader_pos,
                       hp->weight, hp->epoch, hp->state);
@@ -659,14 +667,14 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
       break;
     }
     case Role::kMember: {
-      TypeState& ts = state_[type];
+      TypeState& ts = state_of(type);
       if (hp->label == ts.label) {
-        if (config_.epoch_fencing_enabled &&
+        if (config().epoch_fencing_enabled &&
             hp->epoch < ts.leader_epoch_seen) {
           // A stale incarnation (pre-partition leader) is still
           // heartbeating; refusing to follow it keeps the member bound to
           // the newest leader until fencing silences the old one.
-          stats_.stale_heartbeats_ignored++;
+          active.stats.stale_heartbeats_ignored++;
           break;
         }
         ts.last_hb_heard = mote_.now();
@@ -676,12 +684,12 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
         ts.leader_epoch_seen = hp->epoch;
         ts.last_state_seen = hp->state;
         arm_receive_timer(type);
-        if (config_.member_relay_heartbeats && !already_seen) {
-          stats_.heartbeats_relayed++;
+        if (config().member_relay_heartbeats && !already_seen) {
+          active.stats.heartbeats_relayed++;
           auto relay = std::make_shared<HeartbeatPayload>(*hp);
-          relay->perimeter_budget = config_.perimeter_hops;
+          relay->perimeter_budget = config().perimeter_hops;
           mote_.broadcast(radio::MsgType::kHeartbeat, std::move(relay),
-                          config_.heartbeat_range);
+                          config().heartbeat_range);
         }
       }
       break;
@@ -692,7 +700,7 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
       // labels whose entity could plausibly reach us matter — a label
       // tracking something far away must not swallow a fresh local
       // detection.
-      if (distance(mote_.position(), hp->estimate) <= config_.wait_radius) {
+      if (distance(mote_.position(), hp->estimate) <= config().wait_radius) {
         TypeState& ts = engage(type);
         if (!ts.waiting || hp->weight >= ts.wait_weight) {
           ts.wait_label = hp->label;
@@ -705,16 +713,16 @@ void GroupManager::handle_heartbeat(const radio::Frame& frame) {
         ts.waiting = true;
         ts.wait_timer.cancel();
         ts.wait_timer = mote_.after(wait_timeout(), [this, type] {
-          state_[type].waiting = false;
+          state_of(type).waiting = false;
         });
       }
       if (hp->perimeter_budget > 0 && !already_seen) {
-        stats_.heartbeats_relayed++;
+        active.stats.heartbeats_relayed++;
         auto relay = std::make_shared<HeartbeatPayload>(*hp);
         relay->perimeter_budget = static_cast<std::uint8_t>(
             hp->perimeter_budget - 1);
         mote_.broadcast(radio::MsgType::kHeartbeat, std::move(relay),
-                        config_.heartbeat_range);
+                        config().heartbeat_range);
       }
       break;
     }
@@ -734,23 +742,23 @@ void GroupManager::handle_report(const radio::Frame& frame) {
   // Relayed reports may reach the leader along several member paths;
   // consume/relay each measurement once.
   const std::uint64_t key = report_key(*rp);
-  const bool already_seen = report_seen_.contains(key);
-  report_seen_.put(key, true);
+  const bool already_seen = active_->report_seen.contains(key);
+  active_->report_seen.put(key, true);
   if (already_seen) return;
 
   if (ts.role == Role::kLeader) {
-    if (config_.epoch_fencing_enabled && rp->epoch > ts.epoch) {
+    if (config().epoch_fencing_enabled && rp->epoch > ts.epoch) {
       // A member is reporting to a newer incarnation of this label: a
       // successor was elected while we were unreachable (partition). We
       // are the stale leader; step down instead of absorbing the foreign
       // group's data. This path fences leaders that never hear the
       // successor's heartbeats directly (out of radio range) but do
       // overhear its members' relayed reports.
-      stats_.fenced++;
+      active_->stats.fenced++;
       stop_leading(rp->type_index, GroupEvent::Kind::kFenced, rp->reporter);
       return;
     }
-    stats_.reports_received++;
+    active_->stats.reports_received++;
     // "This counter increases as sensors report their measurements" — the
     // leader weight used for spurious-label suppression.
     ts.weight++;
@@ -805,9 +813,9 @@ void GroupManager::handle_relinquish(const radio::Frame& frame) {
   ts.cand_state = rp->state;
   ts.candidacy_timer.cancel();
   const Duration delay =
-      config_.heartbeat_period * (0.05 + 0.20 * mote_.rng().next_double());
+      config().heartbeat_period * (0.05 + 0.20 * mote_.rng().next_double());
   ts.candidacy_timer = mote_.after(delay, [this, type] {
-    TypeState& st = state_[type];
+    TypeState& st = state_of(type);
     if (!alive_ || st.role != Role::kMember) return;
     if (st.last_hb_heard >= st.relinquish_heard) return;  // successor exists
     if (!is_sensing(type, st.role)) return;

@@ -121,6 +121,19 @@ std::vector<GroupTypeProfile> resolve_group_types(
     const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses,
     const GroupConfig& config);
 
+/// What every group manager of a deployment shares. EnviroTrackSystem owns
+/// one, and everything it refers to, for as long as its stacks live.
+struct GroupDeployment {
+  const std::vector<ContextTypeSpec>& specs;
+  /// resolve_group_types of `specs`.
+  const std::vector<GroupTypeProfile>& types;
+  const AggregationRegistry& aggregations;
+  const GroupConfig& config;
+  /// Every group event goes to each of these, as the list stands when the
+  /// event is emitted.
+  const std::vector<GroupObserver*>& observers;
+};
+
 /// Receives a group manager's leadership edges and leader observations.
 /// The middleware stack implements it and fans the calls out to the
 /// context runtime (attach / detach tracking objects), the directory
@@ -172,13 +185,8 @@ struct GroupStats {
 /// kRelinquish message types on its mote.
 class GroupManager {
  public:
-  /// `specs`, `types` (resolve_group_types of the same specs),
-  /// `aggregations` and `config` are deployment-wide and must outlive the
-  /// manager.
-  GroupManager(node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
-               const std::vector<GroupTypeProfile>& types,
-               const AggregationRegistry& aggregations,
-               const GroupConfig& config);
+  /// `deployment` must outlive the manager.
+  GroupManager(node::Mote& mote, const GroupDeployment& deployment);
 
   GroupManager(const GroupManager&) = delete;
   GroupManager& operator=(const GroupManager&) = delete;
@@ -198,9 +206,6 @@ class GroupManager {
 
   bool alive() const { return alive_; }
 
-  void add_observer(GroupObserver* observer) {
-    observers_.push_back(observer);
-  }
   /// Installs the one receiver of leadership edges (null: none).
   void set_listener(LeadershipListener* listener) { listener_ = listener; }
 
@@ -254,18 +259,23 @@ class GroupManager {
   /// valid position aggregate, else the leader's own location. Carried in
   /// heartbeats for estimate-gated label identity.
   Vec2 entity_estimate(TypeIndex type) const;
-  const GroupConfig& config() const { return config_; }
-  const GroupStats& stats() const { return stats_; }
+  const GroupConfig& config() const { return deployment_.config; }
+  /// Zero on a mote that never heard a group frame nor was engaged.
+  const GroupStats& stats() const;
+  /// True once this manager has heard a group frame or been engaged
+  /// (diagnostics / tests).
+  bool active() const { return active_ != nullptr; }
   node::Mote& mote() { return mote_; }
-  std::size_t type_count() const { return specs_->size(); }
+  std::size_t type_count() const { return deployment_.specs.size(); }
 
   /// True when this node has any stake in a context: it leads or belongs
   /// to a group, remembers a nearby one (wait timer), or is deciding
   /// whether to create a label. Duty cycling keeps engaged nodes awake.
   bool engaged() const {
-    if (!state_) return false;
+    const TypeState* states = engaged_states();
+    if (!states) return false;
     for (std::size_t i = 0; i < type_count(); ++i) {
-      const TypeState& ts = state_[i];
+      const TypeState& ts = states[i];
       if (ts.role != Role::kIdle || ts.waiting || ts.creation_pending) {
         return true;
       }
@@ -274,10 +284,10 @@ class GroupManager {
   }
 
   Duration receive_timeout() const {
-    return config_.heartbeat_period * config_.receive_timer_factor;
+    return config().heartbeat_period * config().receive_timer_factor;
   }
   Duration wait_timeout() const {
-    return config_.heartbeat_period * config_.wait_timer_factor;
+    return config().heartbeat_period * config().wait_timer_factor;
   }
 
  private:
@@ -329,14 +339,37 @@ class GroupManager {
     PersistentState cand_state;
   };
 
+  /// What a manager needs once it has heard a group frame or been engaged.
+  struct Active {
+    LruMap<std::uint64_t, bool> hb_seen{256};  // heartbeat (label, seq) dedup
+    LruMap<std::uint64_t, bool> report_seen{256};  // relayed-report dedup
+    /// One state per context type, allocated on the first engagement in
+    /// any type (creation pending, wait memory, or a role) and kept from
+    /// then on: deferred timers and CPU tasks refer to it.
+    std::unique_ptr<TypeState[]> types;
+    GroupStats stats;
+  };
+
+  /// The active part, allocated on the first group frame or engagement
+  /// and kept from then on.
+  Active& activate();
+  /// The per-type states, or null if this node was never engaged.
+  TypeState* engaged_states() const {
+    return active_ ? active_->types.get() : nullptr;
+  }
   /// This node's state for `type`, or null if it was never engaged in it.
-  TypeState* find(TypeIndex type) { return state_ ? &state_[type] : nullptr; }
+  TypeState* find(TypeIndex type) {
+    TypeState* states = engaged_states();
+    return states ? &states[type] : nullptr;
+  }
   /// This node's state for `type`, or a default (idle) state if it was
   /// never engaged in it.
   const TypeState& peek(TypeIndex type) const;
   /// This node's state for `type`, allocating the per-type states on the
-  /// first engagement (creation pending, wait memory, or a role).
+  /// first engagement.
   TypeState& engage(TypeIndex type);
+  /// This node's state for `type`, which must be engaged.
+  TypeState& state_of(TypeIndex type) { return active_->types[type]; }
 
   void poll_senses();
   /// (Re)starts the periodic sense poll with a fresh random phase.
@@ -379,24 +412,15 @@ class GroupManager {
             std::uint64_t weight, std::uint64_t epoch);
 
   node::Mote& mote_;
-  const std::vector<ContextTypeSpec>* specs_;
-  const std::vector<GroupTypeProfile>* types_;
-  const AggregationRegistry* aggregations_;
-  const GroupConfig& config_;
-  /// One state per context type, allocated on the first engagement in any
-  /// type and kept from then on (deferred timers and CPU tasks refer to
-  /// it). Most motes of a large field never sense anything and never
-  /// allocate it.
-  std::unique_ptr<TypeState[]> state_;
-  std::vector<GroupObserver*> observers_;
+  const GroupDeployment& deployment_;
+  /// Most motes of a large field never hear a group frame nor sense
+  /// anything, and never allocate it.
+  std::unique_ptr<Active> active_;
   LeadershipListener* listener_ = nullptr;
-  LruMap<std::uint64_t, bool> hb_seen_;  // heartbeat (label, seq) dedup
-  LruMap<std::uint64_t, bool> report_seen_;  // relayed-report dedup
   sim::EventHandle poll_timer_;
   std::uint32_t next_label_seq_ = 0;
   bool alive_ = true;
   bool started_ = false;
-  GroupStats stats_;
 };
 
 }  // namespace et::core

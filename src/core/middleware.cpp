@@ -1,22 +1,24 @@
 #include "core/middleware.hpp"
 
+#include <cassert>
+
 namespace et::core {
 
-MiddlewareStack::MiddlewareStack(
-    node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
-    const std::vector<GroupTypeProfile>& group_types,
-    const AggregationRegistry& aggregations, Rect field_bounds,
-    const MiddlewareConfig& config)
+MiddlewareStack::MiddlewareStack(node::Mote& mote,
+                                 const GroupDeployment& groups,
+                                 Rect field_bounds,
+                                 const MiddlewareConfig& config)
     : mote_(mote),
       config_(config),
       routing_(mote, config.routing),
-      groups_(mote, specs, group_types, aggregations, config.group),
-      runtime_(mote, specs, groups_) {
+      groups_(mote, groups),
+      runtime_(mote, groups.specs, groups_) {
+  assert(&groups.config == &config.group);
   runtime_.set_routing(&routing_);
 
   if (config.enable_directory) {
-    directory_ = std::make_unique<Directory>(mote, routing_, specs,
-                                             field_bounds, config.directory);
+    directory_ = std::make_unique<Directory>(
+        mote, routing_, groups.specs, field_bounds, config.directory);
   }
   if (config.enable_transport) {
     transport_ = std::make_unique<Transport>(
@@ -96,32 +98,32 @@ void MiddlewareStack::reboot() {
   }
 }
 
-void MiddlewareStack::ensure_user_consumer() {
-  if (user_consumer_registered_) return;
-  user_consumer_registered_ = true;
+MiddlewareStack::UserConsumers& MiddlewareStack::user_consumers() {
+  if (user_consumers_) return *user_consumers_;
+  user_consumers_ = std::make_unique<UserConsumers>();
   routing_.on_delivery(
       radio::MsgType::kUser, [this](const net::RouteEnvelope& envelope) {
         const auto* payload =
             static_cast<const UserMessagePayload*>(envelope.inner.get());
-        for (auto& handler : user_handlers_) {
+        for (auto& handler : user_consumers_->handlers) {
           handler(*payload, envelope.origin);
         }
-        for (auto& object : static_objects_) {
+        for (auto& object : user_consumers_->static_objects) {
           object->deliver(*payload, envelope.origin);
         }
       });
+  return *user_consumers_;
 }
 
 void MiddlewareStack::on_user_message(UserHandler handler) {
-  ensure_user_consumer();
-  user_handlers_.push_back(std::move(handler));
+  user_consumers().handlers.push_back(std::move(handler));
 }
 
 StaticObject& MiddlewareStack::add_static_object(StaticObjectSpec spec) {
-  ensure_user_consumer();
-  static_objects_.push_back(
+  auto& objects = user_consumers().static_objects;
+  objects.push_back(
       std::make_unique<StaticObject>(mote_, &routing_, std::move(spec)));
-  return *static_objects_.back();
+  return *objects.back();
 }
 
 }  // namespace et::core

@@ -44,13 +44,11 @@ class MiddlewareStack final : private LeadershipListener {
   using UserHandler =
       std::function<void(const UserMessagePayload&, NodeId origin)>;
 
-  /// `specs`, `group_types` (resolve_group_types of the same specs),
-  /// `aggregations` and `config` are deployment-wide (owned by
-  /// EnviroTrackSystem) and must outlive the stack.
-  MiddlewareStack(node::Mote& mote, const std::vector<ContextTypeSpec>& specs,
-                  const std::vector<GroupTypeProfile>& group_types,
-                  const AggregationRegistry& aggregations, Rect field_bounds,
-                  const MiddlewareConfig& config);
+  /// `groups` and `config` are deployment-wide (owned by
+  /// EnviroTrackSystem) and must outlive the stack; `groups.config` is
+  /// `config.group`.
+  MiddlewareStack(node::Mote& mote, const GroupDeployment& groups,
+                  Rect field_bounds, const MiddlewareConfig& config);
 
   MiddlewareStack(const MiddlewareStack&) = delete;
   MiddlewareStack& operator=(const MiddlewareStack&) = delete;
@@ -100,7 +98,15 @@ class MiddlewareStack final : private LeadershipListener {
   void on_label_retired(TypeIndex type, LabelId label,
                         std::uint64_t epoch) override;
 
-  void ensure_user_consumer();
+  /// What a node needs once it consumes application messages: only base
+  /// stations (and static-object hosts) ever do.
+  struct UserConsumers {
+    std::vector<UserHandler> handlers;
+    std::vector<std::unique_ptr<StaticObject>> static_objects;
+  };
+  /// The consumers, allocated on first use together with the routing
+  /// consumer of kUser envelopes that feeds them.
+  UserConsumers& user_consumers();
 
   node::Mote& mote_;
   /// Read again by reboot(): the duty-cycle controller is destroyed on
@@ -112,9 +118,7 @@ class MiddlewareStack final : private LeadershipListener {
   std::unique_ptr<Directory> directory_;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<DutyCycleController> duty_cycle_;
-  std::vector<UserHandler> user_handlers_;
-  std::vector<std::unique_ptr<StaticObject>> static_objects_;
-  bool user_consumer_registered_ = false;
+  std::unique_ptr<UserConsumers> user_consumers_;
 };
 
 }  // namespace et::core

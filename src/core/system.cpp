@@ -99,8 +99,8 @@ void EnviroTrackSystem::start() {
     // are engine-independent.
     sim::ExecutingOwnerScope scope(sim_, static_cast<std::uint32_t>(i));
     stacks_.push_back(std::make_unique<MiddlewareStack>(
-        network_.mote(NodeId{i}), specs_, group_types_, aggregations_,
-        field_.bounds(), config_.middleware));
+        network_.mote(NodeId{i}), group_deployment_, field_.bounds(),
+        config_.middleware));
   }
   for (std::size_t i = 0; i < stacks_.size(); ++i) {
     sim::ExecutingOwnerScope scope(sim_, static_cast<std::uint32_t>(i));
@@ -119,9 +119,7 @@ void EnviroTrackSystem::add_group_observer(GroupObserver* observer) {
   assert(started_);
   journaled_observers_.push_back(
       std::make_unique<JournaledObserver>(sim_, observer));
-  for (auto& stack : stacks_) {
-    stack->groups().add_observer(journaled_observers_.back().get());
-  }
+  group_observers_.push_back(journaled_observers_.back().get());
 }
 
 void EnviroTrackSystem::add_transport_listener(TransportListener fn) {

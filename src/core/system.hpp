@@ -108,9 +108,15 @@ class EnviroTrackSystem {
   std::vector<ContextTypeSpec> specs_;
   /// `specs_` resolved once for every group manager (set by start()).
   std::vector<GroupTypeProfile> group_types_;
-  std::vector<std::unique_ptr<MiddlewareStack>> stacks_;
-  /// Journaling proxies handed to the group managers.
+  /// Journaling proxies, one per add_group_observer().
   std::vector<std::unique_ptr<GroupObserver>> journaled_observers_;
+  /// The proxies again, as the one observer list every group manager reads.
+  std::vector<GroupObserver*> group_observers_;
+  /// What every group manager refers to.
+  GroupDeployment group_deployment_{specs_, group_types_, aggregations_,
+                                    config_.middleware.group,
+                                    group_observers_};
+  std::vector<std::unique_ptr<MiddlewareStack>> stacks_;
   /// Shared listener fan-in targets (kept alive for the stacks' lambdas).
   std::vector<std::shared_ptr<TransportListener>> transport_listeners_;
   bool started_ = false;

@@ -41,7 +41,7 @@ class AckPayload final : public radio::Payload {
 }  // namespace
 
 GeoRouting::GeoRouting(node::Mote& mote, const RoutingConfig& config)
-    : mote_(mote), config_(config), seen_(config.dedup_capacity) {
+    : mote_(mote), config_(config) {
   mote_.set_handler<&GeoRouting::handle_route>(radio::MsgType::kRoute, this);
   mote_.set_handler<&GeoRouting::handle_ack>(radio::MsgType::kRouteAck, this);
 }
@@ -54,20 +54,31 @@ void GeoRouting::on_delivery(radio::MsgType inner_type,
   slot = std::move(handler);
 }
 
-const std::vector<GeoRouting::Neighbor>& GeoRouting::neighbors() const {
-  if (!neighbors_cached_) {
+GeoRouting::Active& GeoRouting::activate() {
+  if (!active_) active_ = std::make_unique<Active>(config_.dedup_capacity);
+  return *active_;
+}
+
+const RoutingStats& GeoRouting::stats() const {
+  static const RoutingStats kNeverRouted;
+  return active_ ? active_->stats : kNeverRouted;
+}
+
+const std::vector<GeoRouting::Neighbor>& GeoRouting::neighbors() {
+  Active& active = activate();
+  if (!active.neighbors_cached) {
     radio::Medium& medium = mote_.medium();
-    neighbor_cache_.clear();
+    active.neighbor_cache.clear();
     for (NodeId n : medium.neighbors(mote_.id())) {
-      neighbor_cache_.push_back(Neighbor{n, medium.position_of(n)});
+      active.neighbor_cache.push_back(Neighbor{n, medium.position_of(n)});
     }
-    neighbors_cached_ = true;
+    active.neighbors_cached = true;
   }
-  return neighbor_cache_;
+  return active.neighbor_cache;
 }
 
 std::optional<NodeId> GeoRouting::best_next_hop(
-    Vec2 dest, const std::vector<NodeId>& exclude) const {
+    Vec2 dest, const std::vector<NodeId>& exclude) {
   const double own = distance_sq(mote_.position(), dest);
   std::optional<NodeId> best;
   double best_d = own;
@@ -87,16 +98,17 @@ std::optional<NodeId> GeoRouting::best_next_hop(
 void GeoRouting::send(Vec2 dest, radio::MsgType inner_type,
                       std::shared_ptr<const radio::Payload> inner,
                       std::optional<NodeId> final_dst) {
+  Active& active = activate();
   RouteEnvelope envelope;
-  envelope.envelope_id =
-      (mote_.id().value() << 32) | static_cast<std::uint64_t>(next_seq_++);
+  envelope.envelope_id = (mote_.id().value() << 32) |
+                         static_cast<std::uint64_t>(active.next_seq++);
   envelope.origin = mote_.id();
   envelope.dest = dest;
   envelope.final_dst = final_dst;
   envelope.inner_type = inner_type;
   envelope.inner = std::move(inner);
   envelope.max_hops = config_.max_hops;
-  stats_.originated++;
+  active.stats.originated++;
   accept(std::move(envelope));
 }
 
@@ -109,29 +121,35 @@ void GeoRouting::handle_route(const radio::Frame& frame) {
   mote_.unicast(frame.src, radio::MsgType::kRouteAck,
                 std::make_shared<AckPayload>(envelope.envelope_id));
 
-  if (seen_.contains(envelope.envelope_id)) {
-    stats_.duplicates++;
+  Active& active = activate();
+  if (active.seen.contains(envelope.envelope_id)) {
+    active.stats.duplicates++;
     return;
   }
   accept(envelope);
 }
 
 void GeoRouting::handle_ack(const radio::Frame& frame) {
+  // A router that never forwarded has no hop waiting for this ack.
+  if (!active_) return;
   const auto* payload = static_cast<const AckPayload*>(frame.payload.get());
-  auto it = pending_.find(payload->envelope_id());
-  if (it == pending_.end()) return;  // late ack after retry resolution
+  auto& pending = active_->pending;
+  auto it = pending.find(payload->envelope_id());
+  if (it == pending.end()) return;  // late ack after retry resolution
   it->second.timeout.cancel();
-  pending_.erase(it);
+  pending.erase(it);
 }
 
 void GeoRouting::reboot() {
-  for (auto& [id, hop] : pending_) hop.timeout.cancel();
-  pending_.clear();
-  seen_.clear();
+  if (!active_) return;
+  for (auto& [id, hop] : active_->pending) hop.timeout.cancel();
+  active_->pending.clear();
+  active_->seen.clear();
 }
 
 void GeoRouting::accept(RouteEnvelope envelope) {
-  seen_.put(envelope.envelope_id, true);
+  Active& active = activate();
+  active.seen.put(envelope.envelope_id, true);
 
   if (envelope.final_dst && *envelope.final_dst == mote_.id()) {
     consume(envelope);
@@ -145,7 +163,7 @@ void GeoRouting::accept(RouteEnvelope envelope) {
     if (!envelope.final_dst) {
       consume(envelope);  // coordinate-addressed: nearest node consumes
     } else {
-      stats_.dropped_dead_end++;
+      active.stats.dropped_dead_end++;
       ET_DEBUG(kComponent, "node %llu: dead end toward %s",
                static_cast<unsigned long long>(mote_.id().value()),
                envelope.dest.to_string().c_str());
@@ -154,21 +172,22 @@ void GeoRouting::accept(RouteEnvelope envelope) {
   }
   envelope.hops++;
   if (envelope.hops > envelope.max_hops) {
-    stats_.dropped_ttl++;
+    active.stats.dropped_ttl++;
     return;
   }
 
   PendingHop hop{std::move(envelope), *next, config_.hop_attempts,
                  sim::EventHandle{}, {}};
   const std::uint64_t id = hop.envelope.envelope_id;
-  pending_[id] = std::move(hop);
-  stats_.forwarded++;
+  active.pending[id] = std::move(hop);
+  active.stats.forwarded++;
   transmit_hop(id);
 }
 
 void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
-  auto it = pending_.find(envelope_id);
-  if (it == pending_.end()) return;
+  Active& active = *active_;
+  auto it = active.pending.find(envelope_id);
+  if (it == active.pending.end()) return;
   PendingHop& hop = it->second;
   hop.attempts_left--;
   mote_.unicast(hop.next_hop, radio::MsgType::kRoute,
@@ -183,11 +202,12 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
       1.0 + config_.retry_jitter * mote_.rng().next_double();
   hop.timeout = mote_.sim().schedule(
       config_.ack_timeout * (backoff * jitter), [this, envelope_id] {
-    auto pending_it = pending_.find(envelope_id);
-    if (pending_it == pending_.end()) return;  // acked meanwhile
+    Active& state = *active_;
+    auto pending_it = state.pending.find(envelope_id);
+    if (pending_it == state.pending.end()) return;  // acked meanwhile
     PendingHop& pending = pending_it->second;
     if (pending.attempts_left > 0) {
-      stats_.retries++;
+      state.stats.retries++;
       transmit_hop(envelope_id);
       return;
     }
@@ -201,7 +221,7 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
               best_next_hop(pending.envelope.dest, pending.dead)) {
         pending.next_hop = *alternative;
         pending.attempts_left = config_.hop_attempts;
-        stats_.retries++;
+        state.stats.retries++;
         transmit_hop(envelope_id);
         return;
       }
@@ -209,17 +229,17 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
     // No alternative: for coordinate-addressed envelopes this node is the
     // closest *reachable* one and consumes; targeted envelopes drop.
     RouteEnvelope envelope = std::move(pending.envelope);
-    pending_.erase(pending_it);
+    state.pending.erase(pending_it);
     if (!envelope.final_dst) {
       consume(envelope);
     } else {
-      stats_.dropped_dead_end++;
+      state.stats.dropped_dead_end++;
     }
   });
 }
 
 void GeoRouting::consume(const RouteEnvelope& envelope) {
-  stats_.delivered++;
+  active_->stats.delivered++;
   if (!delivery_) return;
   const auto& handler =
       (*delivery_)[static_cast<std::size_t>(envelope.inner_type)];

@@ -105,7 +105,11 @@ class GeoRouting {
   /// neighbour cache survives — motes are stationary.
   void reboot();
 
-  const RoutingStats& stats() const { return stats_; }
+  /// Zero on a router that never routed.
+  const RoutingStats& stats() const;
+  /// True once this router has sent or received a route frame (diagnostics
+  /// / tests).
+  bool active() const { return active_ != nullptr; }
 
  private:
   struct PendingHop {
@@ -138,8 +142,23 @@ class GeoRouting {
   /// The neighbour strictly closer to `dest` than this node, skipping
   /// `exclude`, or nullopt.
   std::optional<NodeId> best_next_hop(
-      Vec2 dest, const std::vector<NodeId>& exclude = {}) const;
-  const std::vector<Neighbor>& neighbors() const;
+      Vec2 dest, const std::vector<NodeId>& exclude = {});
+  const std::vector<Neighbor>& neighbors();
+
+  /// Everything a router needs once it has sent or received a route frame.
+  struct Active {
+    explicit Active(std::size_t dedup_capacity) : seen(dedup_capacity) {}
+
+    LruMap<std::uint64_t, bool> seen;
+    std::unordered_map<std::uint64_t, PendingHop> pending;
+    std::vector<Neighbor> neighbor_cache;
+    bool neighbors_cached = false;
+    std::uint32_t next_seq = 0;
+    RoutingStats stats;
+  };
+  /// The active part, allocated on the first route frame or send and kept
+  /// from then on (ARQ timers refer to it; reboot clears it in place).
+  Active& activate();
 
   using DeliveryTable = std::array<DeliveryHandler, radio::kMsgTypeCount>;
 
@@ -148,12 +167,8 @@ class GeoRouting {
   /// Allocated by the first on_delivery(); most motes only relay and never
   /// register a consumer.
   std::unique_ptr<DeliveryTable> delivery_;
-  mutable std::vector<Neighbor> neighbor_cache_;
-  mutable bool neighbors_cached_ = false;
-  std::uint32_t next_seq_ = 0;
-  LruMap<std::uint64_t, bool> seen_;
-  std::unordered_map<std::uint64_t, PendingHop> pending_;
-  RoutingStats stats_;
+  /// Most motes of a large field never route and never allocate it.
+  std::unique_ptr<Active> active_;
 };
 
 }  // namespace et::net

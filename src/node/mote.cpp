@@ -15,8 +15,7 @@ Mote::Mote(sim::Simulator& sim, radio::Medium& medium, env::Environment& env,
       position_(position),
       cpu_(sim, cpu_config),
       rng_(sim.make_rng("mote-" + std::to_string(id.value()))) {
-  medium_.attach(id, position,
-                 [this](const radio::Frame& frame) { on_frame(frame); });
+  medium_.attach(id, position);
 }
 
 void Mote::broadcast(radio::MsgType type,

@@ -107,7 +107,8 @@ class Mote {
   sim::EventHandle every(Duration first_delay, Duration period,
                          std::function<void()> fn);
 
-  /// Entry point the medium calls on frame arrival; posts an rx task.
+  /// Entry point for frame arrival (the network's medium receiver calls it);
+  /// posts an rx task.
   void on_frame(const radio::Frame& frame);
 
   /// Failure injection: a down mote neither receives frames nor fires

@@ -6,6 +6,7 @@ MoteNetwork::MoteNetwork(sim::Simulator& sim, radio::Medium& medium,
                          env::Environment& env, const env::Field& field,
                          CpuConfig cpu_config, const SimSelector& selector) {
   motes_.reserve(field.size());
+  medium.reserve(field.size());
   for (std::size_t i = 0; i < field.size(); ++i) {
     const NodeId id{i};
     const Vec2 pos = field.position(id);
@@ -13,6 +14,9 @@ MoteNetwork::MoteNetwork(sim::Simulator& sim, radio::Medium& medium,
     motes_.push_back(
         std::make_unique<Mote>(mote_sim, medium, env, id, pos, cpu_config));
   }
+  medium.set_receiver([this](NodeId to, const radio::Frame& frame) {
+    motes_[to.value()]->on_frame(frame);
+  });
 }
 
 }  // namespace et::node

@@ -10,8 +10,9 @@
 /// The deployed mote population.
 ///
 /// Builds one `Mote` per field position (attached to the shared medium in
-/// id order) and provides indexed access for scenario assembly, metrics,
-/// and failure injection.
+/// id order), installs the medium's receiver that hands each frame to its
+/// mote, and provides indexed access for scenario assembly, metrics, and
+/// failure injection.
 namespace et::node {
 
 class MoteNetwork {

@@ -117,16 +117,21 @@ void Medium::gather_in_radius(Vec2 center, double radius,
   std::sort(out.begin(), out.end());
 }
 
-void Medium::attach(NodeId id, Vec2 position, Receiver receiver) {
+void Medium::attach(NodeId id, Vec2 position) {
   assert(id.value() == endpoints_.size() &&
          "nodes must be attached densely in id order");
-  Endpoint endpoint;
-  endpoint.pos = position;
-  endpoint.recv = std::move(receiver);
-  endpoint.rx_rng = sim_.make_rng("radio-rx-" + std::to_string(id.value()));
-  endpoints_.push_back(std::move(endpoint));
+  endpoints_.emplace_back().pos = position;
   grid_[cell_key(cell_coord(position.x), cell_coord(position.y))].push_back(
       static_cast<std::uint32_t>(id.value()));
+}
+
+Medium::ActiveEndpoint& Medium::activate(NodeId id) {
+  Endpoint& ep = endpoints_[id.value()];
+  if (!ep.active) {
+    ep.active = std::make_unique<ActiveEndpoint>(
+        sim_.make_rng("radio-rx-" + std::to_string(id.value())));
+  }
+  return *ep.active;
 }
 
 Duration Medium::airtime_of(const Frame& frame) const {
@@ -250,6 +255,7 @@ void Medium::try_send(NodeId id) {
 
 void Medium::begin_transmission(NodeId id) {
   Endpoint& ep = endpoints_[id.value()];
+  ActiveEndpoint& active = activate(id);
   assert(!ep.queue.empty());
   Frame frame = std::move(ep.queue.front());
   ep.queue.pop_front();
@@ -269,10 +275,10 @@ void Medium::begin_transmission(NodeId id) {
   stats_.bits_sent += bytes * 8;
   stats_.airtime += airtime;
   stats_.of(frame.type).transmitted++;
-  ep.stats.frames_sent++;
-  ep.stats.bits_sent += bytes * 8;
+  active.stats.frames_sent++;
+  active.stats.bits_sent += bytes * 8;
 
-  ep.in_flight = std::move(frame);
+  active.in_flight = std::move(frame);
   sim_.schedule_owned(sim::kChannelRank, airtime, [this, id, start, end, tx_id] {
     complete_transmission(id, start, end, tx_id);
   });
@@ -281,9 +287,10 @@ void Medium::begin_transmission(NodeId id) {
 void Medium::complete_transmission(NodeId id, Time start, Time end,
                                    std::uint64_t tx_id) {
   Endpoint& ep = endpoints_[id.value()];
-  assert(ep.in_flight.has_value());
-  const Frame frame = std::move(*ep.in_flight);
-  ep.in_flight.reset();
+  std::optional<Frame>& in_flight = ep.active->in_flight;
+  assert(in_flight.has_value());
+  const Frame frame = std::move(*in_flight);
+  in_flight.reset();
   ep.transmitting = false;
   std::erase_if(active_,
                 [tx_id](const Transmission& tx) { return tx.tx_id == tx_id; });
@@ -317,8 +324,7 @@ bool Medium::corrupted_at(NodeId receiver, Time start, Time end,
   return false;
 }
 
-bool Medium::sample_burst_state(NodeId receiver) {
-  Endpoint& ep = endpoints_[receiver.value()];
+bool Medium::sample_burst_state(ActiveEndpoint& ep) {
   // Exact transition of the two-state CTMC over the (arbitrarily long)
   // interval since the chain was last sampled: with G->B rate a = 1/mean_good
   // and B->G rate b = 1/mean_bad,
@@ -354,15 +360,16 @@ void Medium::attempt_delivery(std::uint32_t k,
     return;
   }
   acc.attempts++;
+  ActiveEndpoint& active = activate(receiver);
   if (config_.model_collisions && corrupted_at(receiver, start, end, tx_id)) {
     acc.lost_collision++;
     return;
   }
   if (config_.burst_loss.enabled) {
-    const bool bad = sample_burst_state(receiver);
+    const bool bad = sample_burst_state(active);
     const double p =
         bad ? config_.burst_loss.loss_bad : config_.burst_loss.loss_good;
-    if (rx.rx_rng.chance(p)) {
+    if (active.rx_rng.chance(p)) {
       if (bad) {
         acc.lost_burst++;
       } else {
@@ -370,13 +377,13 @@ void Medium::attempt_delivery(std::uint32_t k,
       }
       return;
     }
-  } else if (rx.rx_rng.chance(config_.loss_probability)) {
+  } else if (active.rx_rng.chance(config_.loss_probability)) {
     acc.lost_random++;
     return;
   }
   acc.delivered++;
-  rx.stats.frames_received++;
-  rx.stats.bits_received +=
+  active.stats.frames_received++;
+  active.stats.bits_received +=
       (config_.header_bytes + frame.payload->size_bytes()) * 8;
   // Hand the frame to the receiver's simulator rx_latency() after
   // completion at the key pre-assigned to this candidate slot. The latency
@@ -388,8 +395,7 @@ void Medium::attempt_delivery(std::uint32_t k,
       sim::EventKey{handoff, sim::kChannelRank, seq_base + k},
       static_cast<std::uint32_t>(receiver.value()),
       [this, receiver, frame] {
-        const Endpoint& rx_ep = endpoints_[receiver.value()];
-        if (rx_ep.recv) rx_ep.recv(frame);
+        if (receiver_) receiver_(receiver, frame);
       });
 }
 
@@ -531,7 +537,7 @@ void Medium::set_receiver_enabled_now(NodeId id, bool enabled) {
   Endpoint& ep = endpoints_[id.value()];
   if (ep.receiver_enabled == enabled) return;
   if (enabled) {
-    ep.stats.radio_off += sim_.now() - ep.receiver_off_since;
+    activate(id).stats.radio_off += sim_.now() - ep.receiver_off_since;
   } else {
     ep.receiver_off_since = sim_.now();
   }

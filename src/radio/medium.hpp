@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -98,10 +99,13 @@ struct RadioConfig {
 
 class Medium {
  public:
-  /// Invoked when a frame is successfully received by a node, rx_latency()
-  /// after its last bit arrives — the rx-handoff latency that gives the
-  /// parallel kernel its conservative lookahead.
-  using Receiver = std::function<void(const Frame&)>;
+  /// Invoked when a frame is successfully received by node `to`,
+  /// rx_latency() after its last bit arrives — the rx-handoff latency that
+  /// gives the parallel kernel its conservative lookahead. One receiver
+  /// serves every node of the medium (the mote network dispatches by id), so
+  /// an endpoint holds no callable of its own. On the parallel kernel it runs
+  /// on the receiver's tile, concurrently for receivers on different tiles.
+  using Receiver = std::function<void(NodeId to, const Frame&)>;
 
   /// Latency between a mote handing a frame to the radio stack and the MAC
   /// taking it over (serialising the frame into the transceiver FIFO), in
@@ -158,8 +162,15 @@ class Medium {
   void collect_channel_constraints(
       std::vector<std::pair<Time, Vec2>>& out) const;
 
+  /// Installs the receiver of every node's frames (null: frames are
+  /// delivered to nobody). Set before the run starts.
+  void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
+
+  /// Sizes the endpoint table for `nodes` attachments.
+  void reserve(std::size_t nodes) { endpoints_.reserve(nodes); }
+
   /// Registers a node. Ids must be dense from 0 and attached in order.
-  void attach(NodeId id, Vec2 position, Receiver receiver);
+  void attach(NodeId id, Vec2 position);
 
   std::size_t node_count() const { return endpoints_.size(); }
   Vec2 position_of(NodeId id) const { return endpoints_[id.value()].pos; }
@@ -173,8 +184,15 @@ class Medium {
     /// Time spent with the receiver powered down (duty cycling).
     Duration radio_off = Duration::zero();
   };
+  /// True once `id`'s radio has sent a frame or been offered one: it then
+  /// holds its in-flight slot, loss stream and stats (diagnostics / tests).
+  bool endpoint_active(NodeId id) const {
+    return endpoints_[id.value()].active != nullptr;
+  }
   const EndpointStats& endpoint_stats(NodeId id) const {
-    return endpoints_[id.value()].stats;
+    static const EndpointStats kNeverActive;
+    const Endpoint& ep = endpoints_[id.value()];
+    return ep.active ? ep.active->stats : kNeverActive;
   }
 
   /// Powers a node's receiver down/up (duty cycling). A sleeping receiver
@@ -221,7 +239,7 @@ class Medium {
   /// Total receiver-off time including a currently-open sleep interval.
   Duration radio_off_total(NodeId id) const {
     const Endpoint& ep = endpoints_[id.value()];
-    Duration off = ep.stats.radio_off;
+    Duration off = endpoint_stats(id).radio_off;
     if (!ep.receiver_enabled) off += sim_.now() - ep.receiver_off_since;
     return off;
   }
@@ -254,30 +272,44 @@ class Medium {
   std::size_t history_size() const { return history_.size(); }
 
  private:
-  struct Endpoint {
-    Vec2 pos;
-    Receiver recv;
-    FifoQueue<Frame> queue;
+  /// What a node's radio needs once it has sent a frame or been offered
+  /// one. Most motes of a large field never do, and never allocate it.
+  struct ActiveEndpoint {
+    explicit ActiveEndpoint(Rng rng) : rx_rng(rng) {}
+
     /// The frame currently on the air, parked here so the completion event
     /// closure stays small enough for the event queue's inline storage.
     std::optional<Frame> in_flight;
-    bool transmitting = false;
-    bool backoff_pending = false;
-    int backoff_attempts = 0;
-    bool receiver_enabled = true;
-    Time receiver_off_since;
-    bool blackout = false;
+    /// This receiver's private loss stream (burst chain and loss draws),
+    /// forked per node so delivery outcomes do not depend on the order
+    /// receivers are sampled in — the property that makes the parallel
+    /// fan-out trivially equivalent to the serial loop. A fork depends only
+    /// on the run seed and the label, so forking it on first use yields the
+    /// same draws as forking it at attach time.
+    Rng rx_rng;
     /// Gilbert–Elliott burst-loss chain (per receiver): current state and
     /// when it was last sampled.
     bool burst_bad = false;
     Time burst_sampled_at;
-    /// This receiver's private loss stream (burst chain and loss draws),
-    /// forked per node so delivery outcomes do not depend on the order
-    /// receivers are sampled in — the property that makes the parallel
-    /// fan-out trivially equivalent to the serial loop.
-    Rng rx_rng{0};
     EndpointStats stats;
   };
+
+  /// What every node's radio holds: position, MAC state and power flags.
+  struct Endpoint {
+    Vec2 pos;
+    FifoQueue<Frame> queue;
+    Time receiver_off_since;
+    std::unique_ptr<ActiveEndpoint> active;
+    int backoff_attempts = 0;
+    bool transmitting = false;
+    bool backoff_pending = false;
+    bool receiver_enabled = true;
+    bool blackout = false;
+  };
+
+  /// `id`'s active part, allocated on first use. Touches only `id`'s
+  /// endpoint, so fan-out groups may call it concurrently.
+  ActiveEndpoint& activate(NodeId id);
 
   /// One on-air (or recently completed) transmission, kept for overlap
   /// checks against later-starting transmissions.
@@ -304,11 +336,11 @@ class Medium {
   /// at `pos` (collision), or the receiver itself transmitted then.
   bool corrupted_at(NodeId receiver, Time start, Time end,
                     std::uint64_t tx_id) const;
-  /// Advances `receiver`'s Gilbert–Elliott chain to now() (exact two-state
+  /// Advances a receiver's Gilbert–Elliott chain to now() (exact two-state
   /// CTMC transition over the elapsed interval, one draw from the
   /// receiver's own stream) and returns whether the chain is in the Bad
   /// state. Burst loss must be enabled.
-  bool sample_burst_state(NodeId receiver);
+  bool sample_burst_state(ActiveEndpoint& receiver);
   void prune_history();
 
   /// Per-delivery outcome tallies, accumulated per fan-out group and summed
@@ -357,6 +389,7 @@ class Medium {
 
   sim::Simulator& sim_;
   RadioConfig config_;
+  Receiver receiver_;
   /// Carrier-sense misses and backoff draws (loss draws use the
   /// receivers' own streams).
   Rng rng_;

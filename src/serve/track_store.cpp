@@ -61,21 +61,35 @@ void ShardedTrackStore::apply_locked(Shard& shard,
 void ShardedTrackStore::apply_batch(
     const std::vector<metrics::DecodedTrack>& batch) {
   if (batch.empty()) return;
-  // Group by shard so each shard's exclusive lock is taken at most once
-  // per batch, preserving the batch's internal order within each shard.
-  std::vector<std::vector<const metrics::DecodedTrack*>> per_shard(
-      shards_.size());
+  // Group by shard (a stable counting sort into the writer's scratch) so
+  // each shard's exclusive lock is taken at most once per batch, preserving
+  // the batch's internal order within each shard. A store that has seen a
+  // batch this large allocates nothing here.
+  shard_end_.assign(shards_.size(), 0);
   for (const metrics::DecodedTrack& report : batch) {
-    per_shard[shard_index(report.label)].push_back(&report);
+    shard_end_[shard_index(report.label)]++;
   }
+  std::uint32_t start = 0;
+  for (std::uint32_t& end : shard_end_) {
+    const std::uint32_t count = end;
+    end = start;  // the shard's group starts here; placement advances it
+    start += count;
+  }
+  batch_order_.resize(batch.size());
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    batch_order_[shard_end_[shard_index(batch[i].label)]++] = i;
+  }
+  std::uint32_t begin = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
+    const std::uint32_t end = shard_end_[s];
+    if (begin == end) continue;
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
     shard.batches++;
-    for (const metrics::DecodedTrack* report : per_shard[s]) {
-      apply_locked(shard, *report);
+    for (std::uint32_t k = begin; k < end; ++k) {
+      apply_locked(shard, batch[batch_order_[k]]);
     }
+    begin = end;
   }
 }
 

@@ -109,6 +109,11 @@ class ShardedTrackStore {
 
   std::size_t ring_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// apply_batch's scratch, touched by the one writer only and kept at its
+  /// high-water capacity: the batch's report indices grouped by shard, and
+  /// where each shard's group ends.
+  std::vector<std::uint32_t> batch_order_;
+  std::vector<std::uint32_t> shard_end_;
 };
 
 }  // namespace et::serve

@@ -40,9 +40,11 @@ BurstRun run_link(std::uint64_t seed, const BurstLossConfig& burst,
   Medium medium(sim, config);
 
   int received = 0;
-  medium.attach(NodeId{0}, {0.0, 0.0}, [](const Frame&) {});
-  medium.attach(NodeId{1}, {1.0, 0.0},
-                [&received](const Frame&) { ++received; });
+  medium.attach(NodeId{0}, {0.0, 0.0});
+  medium.attach(NodeId{1}, {1.0, 0.0});
+  medium.set_receiver([&received](NodeId to, const Frame&) {
+    if (to == NodeId{1}) ++received;
+  });
 
   for (int i = 0; i < frames; ++i) {
     medium.send(Frame{NodeId{0}, NodeId{1}, MsgType::kUser,
@@ -115,9 +117,11 @@ TEST(BurstChannelStats, DisabledModelFallsBackToIidLoss) {
   Medium medium(sim, config);
 
   int received = 0;
-  medium.attach(NodeId{0}, {0.0, 0.0}, [](const Frame&) {});
-  medium.attach(NodeId{1}, {1.0, 0.0},
-                [&received](const Frame&) { ++received; });
+  medium.attach(NodeId{0}, {0.0, 0.0});
+  medium.attach(NodeId{1}, {1.0, 0.0});
+  medium.set_receiver([&received](NodeId to, const Frame&) {
+    if (to == NodeId{1}) ++received;
+  });
   const int frames = 4'000;
   for (int i = 0; i < frames; ++i) {
     medium.send(Frame{NodeId{0}, NodeId{1}, MsgType::kUser,

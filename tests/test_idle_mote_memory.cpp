@@ -1,79 +1,38 @@
-/// Memory budget of an idle mote.
+/// Memory budget of an idle mote, and what first activity allocates.
 ///
 /// A large field is mostly motes that never sense anything (`sparse_100k`
 /// in bench/perf: 100,000 motes, one tank), so what a mote costs before it
 /// does anything sets the memory of the whole run. This binary replaces the
-/// global `operator new`/`delete` with a counting pair and builds the
-/// benchmark's sparse stack (one tracker type; directory and transport off)
-/// on a 20,000-mote grid, once per kernel. It pins three things: `start()`
-/// makes one allocation per mote (the middleware stack object), the heap a
-/// mote holds after `start()` stays within 5% of the measured budget, and
-/// idle polling allocates nothing per mote.
-///
-/// Requested bytes are counted through a size prefix on every block, not
-/// read from malloc, so the numbers are the same under ASan/UBSan and TSan.
-/// The replacement lives in its own test binary because it is global.
+/// global `operator new`/`delete` with a counting pair
+/// (tests/counting_allocator.hpp) and builds the benchmark's sparse stack
+/// (one tracker type; directory and transport off) on a 20,000-mote grid.
+/// It pins four things: `start()` makes one allocation per mote (the
+/// middleware stack object), the heap a mote holds after `start()` stays
+/// within 5% of the measured budget on either kernel, idle polling
+/// allocates nothing per mote, and a tank crossing the grid allocates
+/// active state (radio endpoint, routing and group blocks) only on motes
+/// that had radio traffic.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
+#include <memory>
+#include <vector>
 
 #include "core/system.hpp"
-
-namespace {
-
-std::atomic<std::int64_t> g_live_bytes{0};
-std::atomic<std::uint64_t> g_allocations{0};
-
-/// Keeps the user block at malloc's alignment.
-constexpr std::size_t kPrefix = alignof(std::max_align_t);
-
-void* counted_alloc(std::size_t size) {
-  void* block = std::malloc(size + kPrefix);
-  if (block == nullptr) throw std::bad_alloc();
-  *static_cast<std::size_t*>(block) = size;
-  g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
-                         std::memory_order_relaxed);
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<char*>(block) + kPrefix;
-}
-
-void counted_free(void* ptr) noexcept {
-  if (ptr == nullptr) return;
-  void* block = static_cast<char*>(ptr) - kPrefix;
-  g_live_bytes.fetch_sub(
-      static_cast<std::int64_t>(*static_cast<std::size_t*>(block)),
-      std::memory_order_relaxed);
-  std::free(block);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* ptr) noexcept { counted_free(ptr); }
-void operator delete[](void* ptr) noexcept { counted_free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { counted_free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { counted_free(ptr); }
+#include "counting_allocator.hpp"
+#include "env/trajectory.hpp"
 
 namespace et::core {
 namespace {
 
+using et::testing::allocations;
+using et::testing::live_bytes;
+
 constexpr std::size_t kRows = 100;
 constexpr std::size_t kCols = 200;
 constexpr double kMotes = static_cast<double>(kRows * kCols);
-
-std::int64_t live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
-}
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 /// The bench/perf tracker: average position (critical mass 2, freshness
 /// 1 s), reported to the base station every second.
@@ -99,6 +58,49 @@ ContextTypeSpec tracker_spec(NodeId base) {
   return tracker;
 }
 
+/// The sparse field on the test grid. With `tank`, one target of sensing
+/// radius 1 heads east along the middle row at 1 hop/s from 40 hops west
+/// of the base station (the field's centre), as in bench/perf's
+/// sparse_100k; without it every mote stays idle and only polls.
+struct SparseField {
+  SparseField(const sim::KernelConfig& kernel, bool tank)
+      : sim(11),
+        env(sim.make_rng("environment")),
+        field(env::Field::grid(kRows, kCols)) {
+    const Rect bounds = field.bounds();
+    const Vec2 centre{(bounds.min.x + bounds.max.x) / 2.0,
+                      (bounds.min.y + bounds.max.y) / 2.0};
+    if (tank) {
+      env::Target target;
+      target.type = "target";
+      target.trajectory = std::make_unique<env::LinearTrajectory>(
+          Vec2{centre.x - 40.0, static_cast<double>(kRows / 2)},
+          Vec2{bounds.max.x + 1.5, static_cast<double>(kRows / 2)}, 1.0);
+      target.radius = env::RadiusProfile::constant(1.0);
+      env.add_target(std::move(target));
+    }
+
+    SystemConfig config;
+    config.kernel = kernel;
+    config.cpu.queue_capacity = 12;
+    config.middleware.enable_directory = false;
+    config.middleware.enable_transport = false;
+    config.middleware.group.suppression_radius = 2.0;
+    config.middleware.group.wait_radius = 3.0;
+
+    before_system = live_bytes();
+    system = std::make_unique<EnviroTrackSystem>(sim, env, field, config);
+    system->senses().add("target_sensed", sense_target("target"));
+    system->add_context_type(tracker_spec(field.nearest(centre)));
+  }
+
+  sim::Simulator sim;
+  env::Environment env;
+  env::Field field;
+  std::int64_t before_system = 0;
+  std::unique_ptr<EnviroTrackSystem> system;
+};
+
 struct Footprint {
   double start_allocations_per_mote = 0.0;
   /// Heap requested from before the system's constructor to after start(),
@@ -108,39 +110,18 @@ struct Footprint {
   std::int64_t polling_growth = 0;
 };
 
-/// Builds the sparse field with no target anywhere, so every mote stays
-/// idle and only polls its sense predicate.
 Footprint measure(const sim::KernelConfig& kernel) {
-  sim::Simulator sim(11);
-  env::Environment env(sim.make_rng("environment"));
-  const env::Field field = env::Field::grid(kRows, kCols);
-
-  SystemConfig config;
-  config.kernel = kernel;
-  config.cpu.queue_capacity = 12;
-  config.middleware.enable_directory = false;
-  config.middleware.enable_transport = false;
-  config.middleware.group.suppression_radius = 2.0;
-  config.middleware.group.wait_radius = 3.0;
-
+  SparseField world(kernel, /*tank=*/false);
   Footprint footprint;
-  const std::int64_t before_system = live_bytes();
-  EnviroTrackSystem system(sim, env, field, config);
-  system.senses().add("target_sensed", sense_target("target"));
-  const Rect bounds = field.bounds();
-  system.add_context_type(tracker_spec(
-      field.nearest({(bounds.min.x + bounds.max.x) / 2.0,
-                     (bounds.min.y + bounds.max.y) / 2.0})));
-
   const std::uint64_t allocations_before_start = allocations();
-  system.start();
+  world.system->start();
   footprint.start_allocations_per_mote =
       static_cast<double>(allocations() - allocations_before_start) / kMotes;
   const std::int64_t after_start = live_bytes();
   footprint.bytes_per_mote =
-      static_cast<double>(after_start - before_system) / kMotes;
+      static_cast<double>(after_start - world.before_system) / kMotes;
 
-  system.run_for(Duration::seconds(10));
+  world.system->run_for(Duration::seconds(10));
   footprint.polling_growth = live_bytes() - after_start;
   std::printf("allocations per mote in start(): %.4f\n"
               "heap per idle mote after start(): %.1f B\n"
@@ -165,13 +146,92 @@ void expect_budget(const Footprint& footprint,
   EXPECT_LT(static_cast<double>(footprint.polling_growth), kMotes);
 }
 
-TEST(IdleMoteMemory, SerialKernel) { expect_budget(measure({}), 1795.0); }
+TEST(IdleMoteMemory, SerialKernel) {
+  const Footprint footprint = measure({});
+  expect_budget(footprint, 850.5);
+  // The target this layout was built for.
+  EXPECT_LE(footprint.bytes_per_mote, 1000.0);
+}
 
 TEST(IdleMoteMemory, ParallelKernel) {
   sim::KernelConfig kernel;
   kernel.use_parallel_kernel = true;
   kernel.threads = 3;
-  expect_budget(measure(kernel), 1742.6);
+  expect_budget(measure(kernel), 798.2);
+}
+
+/// Runs the tank field for 20 simulated seconds and checks that active
+/// blocks appear only where frames were: on a mote that sent one, or in
+/// radio range of one that did.
+void expect_activity_follows_traffic(const sim::KernelConfig& kernel) {
+  SparseField world(kernel, /*tank=*/true);
+  EnviroTrackSystem& system = *world.system;
+  system.start();
+  const std::int64_t after_start = live_bytes();
+  system.run_for(Duration::seconds(20));
+  const std::int64_t growth = live_bytes() - after_start;
+
+  radio::Medium& medium = system.medium();
+  const std::size_t n = system.node_count();
+  std::vector<bool> traffic(n, false);
+  std::size_t senders = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId id{i};
+    if (medium.endpoint_stats(id).frames_sent == 0) continue;
+    ++senders;
+    traffic[i] = true;
+    for (NodeId neighbor : medium.neighbors(id)) {
+      traffic[neighbor.value()] = true;
+    }
+  }
+  std::size_t with_traffic = 0;
+  std::size_t active = 0;
+  std::size_t stray = 0;
+  std::uint64_t labels = 0;
+  std::uint64_t routed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId id{i};
+    MiddlewareStack& stack = system.stack(id);
+    labels += stack.groups().stats().labels_created;
+    routed += stack.routing().stats().originated;
+    const bool allocated = medium.endpoint_active(id) ||
+                           stack.routing().active() || stack.groups().active();
+    with_traffic += traffic[i] ? 1 : 0;
+    active += allocated ? 1 : 0;
+    if (allocated && !traffic[i]) ++stray;
+  }
+  std::printf("senders %zu, motes with traffic %zu, with active blocks %zu, "
+              "heap growth over 20 s: %lld B\n",
+              senders, with_traffic, active,
+              static_cast<long long>(growth));
+
+  // The tank was tracked: a label formed and its leaders reported to the
+  // base station over multi-hop routes.
+  EXPECT_GT(labels, 0u);
+  EXPECT_GT(routed, 0u);
+  EXPECT_GT(senders, 10u);
+  EXPECT_GT(active, 0u);
+  // No mote out of radio range of every sender allocated anything.
+  EXPECT_EQ(stray, 0u);
+  // Activity stays local: a few percent of the field at most.
+  EXPECT_LT(static_cast<double>(active), 0.05 * kMotes);
+  // Motes the tank never reached stayed at their idle layout: the run's
+  // growth is what the active motes allocated (1.5 KB each on average here,
+  // shared event-slab growth included). Ten bytes more on every mote of
+  // the field would break this bound.
+  EXPECT_LT(static_cast<double>(growth),
+            static_cast<double>(active) * 2048.0);
+}
+
+TEST(IdleMoteMemory, TankCrossingAllocatesOnlyWhereTrafficIs) {
+  expect_activity_follows_traffic({});
+}
+
+TEST(IdleMoteMemory, TankCrossingOnParallelKernel) {
+  sim::KernelConfig kernel;
+  kernel.use_parallel_kernel = true;
+  kernel.threads = 3;
+  expect_activity_follows_traffic(kernel);
 }
 
 }  // namespace

@@ -40,9 +40,9 @@ struct MediumTest : public ::testing::Test {
   void attach_line(Medium& m, std::size_t n) {
     received.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      m.attach(NodeId{i}, {static_cast<double>(i), 0.0},
-               [this, i](const Frame&) { received[i]++; });
+      m.attach(NodeId{i}, {static_cast<double>(i), 0.0});
     }
+    m.set_receiver([this](NodeId to, const Frame&) { received[to.value()]++; });
   }
 
   sim::Simulator sim;
@@ -223,8 +223,10 @@ TEST_F(MediumTest, BackedUpQueueDrainsInSendOrderAndDropsNewest) {
   config.tx_queue_capacity = 16;
   Medium& m = make(config);
   std::vector<int> heard;
-  m.attach(NodeId{0}, {0.0, 0.0}, [](const Frame&) {});
-  m.attach(NodeId{1}, {1.0, 0.0}, [&heard](const Frame& frame) {
+  m.attach(NodeId{0}, {0.0, 0.0});
+  m.attach(NodeId{1}, {1.0, 0.0});
+  m.set_receiver([&heard](NodeId to, const Frame& frame) {
+    if (to != NodeId{1}) return;
     heard.push_back(static_cast<const TaggedPayload&>(*frame.payload).id);
   });
   std::vector<int> accepted;

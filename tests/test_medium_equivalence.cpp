@@ -155,8 +155,8 @@ TEST(MediumEquivalence, NeighborsMatchBruteForceOnScatteredField) {
   const std::size_t n = 300;
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 pos{next_coord(), next_coord()};
-    medium_a.attach(NodeId{i}, pos, nullptr);
-    medium_b.attach(NodeId{i}, pos, nullptr);
+    medium_a.attach(NodeId{i}, pos);
+    medium_b.attach(NodeId{i}, pos);
   }
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -192,13 +192,15 @@ TEST(MediumEquivalence, SlowBitrateCollisionNotMissedByPruning) {
   };
 
   int received_at_1 = 0;
-  medium.attach(NodeId{0}, {0.0, 0.0}, nullptr);
-  medium.attach(NodeId{1}, {1.0, 0.0},
-                [&](const radio::Frame&) { ++received_at_1; });
-  medium.attach(NodeId{2}, {2.0, 0.0}, nullptr);
+  medium.attach(NodeId{0}, {0.0, 0.0});
+  medium.attach(NodeId{1}, {1.0, 0.0});
+  medium.attach(NodeId{2}, {2.0, 0.0});
   // A far-away pair whose only job is to trigger a prune mid-air.
-  medium.attach(NodeId{3}, {100.0, 0.0}, nullptr);
-  medium.attach(NodeId{4}, {101.0, 0.0}, nullptr);
+  medium.attach(NodeId{3}, {100.0, 0.0});
+  medium.attach(NodeId{4}, {101.0, 0.0});
+  medium.set_receiver([&](NodeId to, const radio::Frame&) {
+    if (to == NodeId{1}) ++received_at_1;
+  });
 
   // Frame A: node 0, [0, 1.256 s].
   medium.send(radio::Frame{NodeId{0}, std::nullopt, radio::MsgType::kUser,

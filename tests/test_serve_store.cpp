@@ -90,6 +90,31 @@ TEST(ServeStore, RingEvictsOldestPoints) {
   EXPECT_DOUBLE_EQ(store.latest(label)->position.x, 5.0);
 }
 
+TEST(ServeStore, InterleavedLabelsKeepBatchOrder) {
+  // One batch interleaves four labels over 64 shards: apply_batch groups
+  // it by shard, and each label must still see its reports in batch order.
+  serve::StoreConfig config;
+  config.shard_count = 64;
+  serve::ShardedTrackStore store(config);
+  std::vector<metrics::DecodedTrack> batch;
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    const double x = static_cast<double>(i);
+    batch.push_back(report(LabelId::make(NodeId{i % 4}, 7), x, 0.0, x / 1e3));
+  }
+  store.apply_batch(batch);
+  for (std::uint64_t creator = 0; creator < 4; ++creator) {
+    const LabelId label = LabelId::make(NodeId{creator}, 7);
+    const auto history = store.history(label, Duration::seconds(1));
+    ASSERT_EQ(history.size(), 8u);
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      EXPECT_DOUBLE_EQ(history[k].position.x,
+                       static_cast<double>(4 * k + creator));
+    }
+    EXPECT_EQ(store.latest(label)->seq, 8u);
+  }
+  EXPECT_EQ(store.stats().reports_applied, 32u);
+}
+
 TEST(ServeStore, RegionQueryFiltersAndSortsByLabel) {
   serve::ShardedTrackStore store;
   const LabelId a = LabelId::make(NodeId{9}, 1);

@@ -93,9 +93,10 @@ TEST(SimProperties, RadioRunsAreDeterministic) {
     int received = 0;
     for (int i = 0; i < 10; ++i) {
       medium.attach(NodeId{static_cast<std::uint64_t>(i)},
-                    {static_cast<double>(i % 5), static_cast<double>(i / 5)},
-                    [&received](const radio::Frame&) { ++received; });
+                    {static_cast<double>(i % 5), static_cast<double>(i / 5)});
     }
+    medium.set_receiver(
+        [&received](NodeId, const radio::Frame&) { ++received; });
     auto payload = std::make_shared<P>();
     for (int round = 0; round < 50; ++round) {
       medium.send(radio::Frame{NodeId{static_cast<std::uint64_t>(round % 10)},
