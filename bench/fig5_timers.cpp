@@ -46,7 +46,7 @@ SpeedSearchParams base_search(double sensing_radius, bool relinquish,
   search.base.rows = 2 * static_cast<std::size_t>(sensing_radius) + 1;
   search.base.sensing_radius = sensing_radius;
   search.base.track_y = sensing_radius - 0.5;
-  search.base.comm_radius = 6.0;
+  search.base.radio.comm_radius = 6.0;
   search.base.cpu = slow_mote_cpu();
   search.base.group.wait_radius = 2.0 * sensing_radius + 2.5;
   search.base.group.relinquish_enabled = relinquish;

@@ -28,7 +28,7 @@ double measure(double sensing_radius, double ratio, int seeds) {
   search.base.rows = 2 * static_cast<std::size_t>(sensing_radius) + 1;
   search.base.sensing_radius = sensing_radius;
   search.base.track_y = sensing_radius - 0.5;
-  search.base.comm_radius = ratio * sensing_radius;
+  search.base.radio.comm_radius = ratio * sensing_radius;
   search.base.group.relinquish_enabled = true;
   search.base.group.heartbeat_period = Duration::seconds(0.5);
   // Fast targets outrun a tight wait-memory gate (the position estimate

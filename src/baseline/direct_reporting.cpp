@@ -5,6 +5,18 @@
 
 namespace et::baseline {
 
+namespace {
+
+/// How often motes evaluate their sense predicate.
+constexpr Duration kSensePollPeriod = Duration::millis(250);
+/// Spatial clustering distance for central track formation: reports
+/// within this distance of a track's last position extend that track.
+constexpr double kAssociationRadius = 2.0;
+/// Tracks without reports for this long are closed.
+constexpr Duration kTrackTimeout = Duration::seconds(3);
+
+}  // namespace
+
 DirectReportingSystem::DirectReportingSystem(sim::Simulator& sim,
                                              env::Environment& env,
                                              const env::Field& field,
@@ -38,7 +50,7 @@ DirectReportingSystem::DirectReportingSystem(sim::Simulator& sim,
       Duration::seconds(1), Duration::seconds(1), [this] {
         const Time now = sim_.now();
         for (CentralTrack& track : tracks_) {
-          if (track.open && now - track.last_update > config_.track_timeout) {
+          if (track.open && now - track.last_update > kTrackTimeout) {
             track.open = false;
           }
         }
@@ -48,9 +60,8 @@ DirectReportingSystem::DirectReportingSystem(sim::Simulator& sim,
   for (std::size_t i = 0; i < field.size(); ++i) {
     const NodeId id{i};
     auto& mote = network_.mote(id);
-    const Duration phase =
-        config_.sense_poll_period * mote.rng().next_double();
-    mote.every(config_.sense_poll_period + phase, config_.sense_poll_period,
+    const Duration phase = kSensePollPeriod * mote.rng().next_double();
+    mote.every(kSensePollPeriod + phase, kSensePollPeriod,
                [this, id] { poll(id); });
   }
 }
@@ -90,8 +101,7 @@ Vec2 DirectReportingSystem::cluster_estimate(
   std::map<std::uint64_t, Vec2> newest;  // newest position per reporter
   for (const auto& r : recent_) {
     if (r.measured_at < horizon) continue;
-    if (distance(r.position, report.position) >
-        config_.association_radius) {
+    if (distance(r.position, report.position) > kAssociationRadius) {
       continue;
     }
     newest[r.reporter.value()] = r.position;
@@ -118,13 +128,13 @@ void DirectReportingSystem::on_report(const DirectReportPayload& report) {
 void DirectReportingSystem::associate(Vec2 estimate, Time now) {
   // Close timed-out tracks first.
   for (CentralTrack& track : tracks_) {
-    if (track.open && now - track.last_update > config_.track_timeout) {
+    if (track.open && now - track.last_update > kTrackTimeout) {
       track.open = false;
     }
   }
   // Extend the nearest open track, else open a new one.
   CentralTrack* best = nullptr;
-  double best_d = config_.association_radius;
+  double best_d = kAssociationRadius;
   for (CentralTrack& track : tracks_) {
     if (!track.open) continue;
     const double d = distance(track.positions.back().second, estimate);

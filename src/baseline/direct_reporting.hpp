@@ -30,13 +30,6 @@ struct DirectReportingConfig {
   Duration report_period = Duration::millis(700);
   /// The mote acting as base station.
   NodeId base_station{0};
-  /// How often motes evaluate their sense predicate.
-  Duration sense_poll_period = Duration::millis(250);
-  /// Spatial clustering distance for central track formation: reports
-  /// within this distance of a track's last position extend that track.
-  double association_radius = 2.0;
-  /// Tracks without reports for this long are closed.
-  Duration track_timeout = Duration::seconds(3);
 };
 
 /// One sensing report: the mote's position and signal reading.

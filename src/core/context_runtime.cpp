@@ -56,7 +56,7 @@ void ContextRuntime::on_leader_start(TypeIndex type, LabelId label,
   active.condition_state.assign(method_index, false);
 
   // Condition-invoked methods piggyback on the middleware tick cadence.
-  const Duration tick = groups_.config().sense_poll_period;
+  const Duration tick = GroupManager::kSensePollPeriod;
   active.condition_tick = mote_.every(tick, tick, [this, type, label] {
     const auto& slot = objects_->slots[type];
     if (!slot || slot->label != label) return;

@@ -10,6 +10,15 @@ namespace {
 
 constexpr const char* kComponent = "directory";
 
+/// Entries older than this are dropped ("occasional updates ... keep the
+/// location information up to date").
+constexpr Duration kEntryTtl = Duration::seconds(20);
+/// Unanswered queries fail after this long.
+constexpr Duration kQueryTimeout = Duration::seconds(3);
+/// Primary directory nodes replicate entries one hop around the hash
+/// point; replicas within this distance of the hash point store them.
+constexpr double kReplicaRadius = 6.0;
+
 class DirUpdatePayload final : public radio::Payload {
  public:
   DirUpdatePayload(TypeIndex type, DirectoryEntry entry, bool retire = false)
@@ -124,7 +133,7 @@ void Directory::handle_replica(const radio::Frame& frame) {
   const auto* payload =
       static_cast<const DirUpdatePayload*>(frame.payload.get());
   if (distance(mote_.position(), hash_points_[payload->type]) <=
-      config_.replica_radius) {
+      kReplicaRadius) {
     if (payload->retire) {
       remove(payload->type, payload->entry);
     } else {
@@ -193,11 +202,8 @@ void Directory::handle_update(const net::RouteEnvelope& envelope) {
       // flood the field with parasitic fence traffic.
       const DirectoryEntry& incumbent =
           store_[payload->type].at(payload->entry.label);
-      const double duel_range = config_.fence_min_separation > 0.0
-                                    ? config_.fence_min_separation
-                                    : mote_.medium().config().comm_radius;
       if (distance(payload->entry.location, incumbent.location) >
-          duel_range) {
+          mote_.medium().config().comm_radius) {
         stats_.fences_sent++;
         routing_.send(payload->entry.location, radio::MsgType::kDirFence,
                       std::make_shared<DirFencePayload>(
@@ -208,9 +214,7 @@ void Directory::handle_update(const net::RouteEnvelope& envelope) {
       }
     }
   }
-  if (config_.replicate) {
-    mote_.broadcast(radio::MsgType::kDirUpdate, envelope.inner);
-  }
+  mote_.broadcast(radio::MsgType::kDirUpdate, envelope.inner);
 }
 
 void Directory::handle_fence(const net::RouteEnvelope& envelope) {
@@ -272,7 +276,7 @@ bool Directory::store(TypeIndex type, const DirectoryEntry& entry,
 }
 
 void Directory::prune(TypeIndex type) const {
-  const Time horizon = mote_.now() - config_.entry_ttl;
+  const Time horizon = mote_.now() - kEntryTtl;
   auto& entries = store_[type];
   for (auto it = entries.begin(); it != entries.end();) {
     if (it->second.updated < horizon) {
@@ -296,7 +300,7 @@ void Directory::query(TypeIndex type, QueryCallback callback) {
   stats_.queries_sent++;
   PendingQuery pending;
   pending.callback = std::move(callback);
-  pending.timeout = mote_.sim().schedule(config_.query_timeout, [this, id] {
+  pending.timeout = mote_.sim().schedule(kQueryTimeout, [this, id] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
     stats_.query_timeouts++;

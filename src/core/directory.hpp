@@ -36,21 +36,6 @@ struct DirectoryEntry {
 struct DirectoryConfig {
   /// How often a leader refreshes its label's directory entry.
   Duration update_period = Duration::seconds(5);
-  /// Entries older than this are dropped ("occasional updates ... keep the
-  /// location information up to date").
-  Duration entry_ttl = Duration::seconds(20);
-  /// Unanswered queries fail after this long.
-  Duration query_timeout = Duration::seconds(3);
-  /// Primary directory nodes replicate entries one hop around the hash
-  /// point; replicas within this distance of the hash point store them.
-  double replica_radius = 6.0;
-  /// Disable replication (ablation / traffic comparison).
-  bool replicate = true;
-  /// A stale refresh only triggers a fence notice when its registered
-  /// location is farther than this from the incumbent's — closer rivals
-  /// are resolved by the heartbeat duel, not the directory. 0 (default)
-  /// means "use the radio's comm radius".
-  double fence_min_separation = 0.0;
 };
 
 struct DirectoryStats {

@@ -11,6 +11,19 @@ namespace {
 
 constexpr const char* kComponent = "group-mgmt";
 
+/// A node that starts sensing with no memory of a nearby group defers
+/// label creation by a random delay of up to this long; hearing any
+/// heartbeat meanwhile converts it into a joiner. Approximates the paper's
+/// creation rule ("no neighbors detecting the same condition") without
+/// consistent membership knowledge.
+constexpr Duration kCreationDelayMax = Duration::millis(200);
+/// Estimated max in-group message delay d; member report period is
+/// P_e = L_e - d (§3.2.3).
+constexpr Duration kMaxMessageDelay = Duration::millis(300);
+/// Floor for the report period, so tiny freshness values cannot melt the
+/// channel.
+constexpr Duration kMinReportPeriod = Duration::millis(100);
+
 /// Dedup key for one heartbeat instance.
 std::uint64_t hb_key(LabelId label, std::uint32_t seq) {
   return label.value() * 0x9e3779b97f4a7c15ull ^ seq;
@@ -76,8 +89,7 @@ std::string GroupEvent::to_string() const {
 }
 
 std::vector<GroupTypeProfile> resolve_group_types(
-    const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses,
-    const GroupConfig& config) {
+    const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses) {
   std::vector<GroupTypeProfile> types(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ContextTypeSpec& spec = specs[i];
@@ -88,10 +100,10 @@ std::vector<GroupTypeProfile> resolve_group_types(
     // P_e = L_e - d, from the tightest variable (§3.2.3), floored.
     Duration period = Duration::max();
     for (const AggregateVarSpec& var : spec.variables) {
-      period = std::min(period, var.freshness - config.max_message_delay);
+      period = std::min(period, var.freshness - kMaxMessageDelay);
     }
     if (spec.variables.empty()) period = Duration::seconds(1);
-    type.report_period = std::max(period, config.min_report_period);
+    type.report_period = std::max(period, kMinReportPeriod);
   }
   return types;
 }
@@ -140,10 +152,8 @@ void GroupManager::arm_poll_timer() {
   poll_timer_.cancel();
   // Stagger poll phases across motes so the deployment's sensing (and the
   // traffic it triggers) does not synchronize.
-  const Duration phase =
-      config().sense_poll_period * mote_.rng().next_double();
-  poll_timer_ = mote_.every(config().sense_poll_period + phase,
-                            config().sense_poll_period,
+  const Duration phase = kSensePollPeriod * mote_.rng().next_double();
+  poll_timer_ = mote_.every(kSensePollPeriod + phase, kSensePollPeriod,
                             [this] { poll_senses(); });
 }
 
@@ -275,8 +285,7 @@ void GroupManager::poll_senses() {
             // arrives meanwhile we join instead of forking a new label.
             ts.creation_pending = true;
             const Duration delay =
-                config().creation_delay_max *
-                (0.1 + 0.9 * mote_.rng().next_double());
+                kCreationDelayMax * (0.1 + 0.9 * mote_.rng().next_double());
             ts.creation_timer = mote_.after(delay, [this, type] {
               TypeState& st = state_of(type);
               st.creation_pending = false;

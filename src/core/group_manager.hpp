@@ -49,29 +49,15 @@ struct GroupConfig {
   /// nodes would hear the leader's broadcast anyway" — the default here,
   /// since CR (6) far exceeds the sensing radii under study.
   std::uint8_t perimeter_hops = 0;
-  /// A node that starts sensing with no memory of a nearby group defers
-  /// label creation by a uniform random delay in (0, this]; hearing any
-  /// heartbeat meanwhile converts it into a joiner. Approximates the
-  /// paper's creation rule ("no neighbors detecting the same condition")
-  /// without consistent membership knowledge.
-  Duration creation_delay_max = Duration::millis(200);
   /// Transmit-power limit for heartbeat frames, in grid units. Models the
   /// Fig. 4 settings ("heartbeats only within [sensing] radius" vs
   /// "propagate past sensing radius"). Unset = full radio range.
   std::optional<double> heartbeat_range;
-  /// How often each mote evaluates its sense_e() predicates.
-  Duration sense_poll_period = Duration::millis(250);
   /// When true a leader that stops sensing hands leadership off explicitly
   /// (the "relinquish" optimisation of §6.2); when false it goes silent and
   /// the group recovers via receive-timer takeover — the paper's worst-case
   /// leader-failure mode.
   bool relinquish_enabled = true;
-  /// Estimated max in-group message delay d; member report period is
-  /// P_e = L_e - d (§3.2.3).
-  Duration max_message_delay = Duration::millis(300);
-  /// Floor for the report period, so tiny freshness values cannot melt the
-  /// channel.
-  Duration min_report_period = Duration::millis(100);
   /// When true, members re-flood heartbeats once per sequence number so
   /// groups wider than one radio hop stay connected.
   bool member_relay_heartbeats = false;
@@ -116,10 +102,9 @@ struct GroupTypeProfile {
 
 /// Resolves `specs` against `senses` (every named predicate must be
 /// registered). P_e = L_e - d from the type's tightest variable (§3.2.3),
-/// floored at `config.min_report_period`.
+/// floored so tiny freshness values cannot melt the channel.
 std::vector<GroupTypeProfile> resolve_group_types(
-    const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses,
-    const GroupConfig& config);
+    const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses);
 
 /// What every group manager of a deployment shares. EnviroTrackSystem owns
 /// one, and everything it refers to, for as long as its stacks live.
@@ -179,12 +164,34 @@ struct GroupStats {
   /// Same-label duels won against a newer incarnation (the rival's higher
   /// epoch was adopted so downstream fencing keeps accepting this leader).
   std::uint64_t epochs_absorbed = 0;
+
+  /// Adds every counter of `other` (sums over motes).
+  GroupStats& operator+=(const GroupStats& other) {
+    heartbeats_sent += other.heartbeats_sent;
+    heartbeats_relayed += other.heartbeats_relayed;
+    reports_sent += other.reports_sent;
+    reports_received += other.reports_received;
+    labels_created += other.labels_created;
+    takeovers += other.takeovers;
+    relinquishes += other.relinquishes;
+    yields += other.yields;
+    suppressions += other.suppressions;
+    joins += other.joins;
+    fenced += other.fenced;
+    stale_heartbeats_ignored += other.stale_heartbeats_ignored;
+    epochs_absorbed += other.epochs_absorbed;
+    return *this;
+  }
 };
 
 /// Per-mote group-management service. Owns the kHeartbeat, kReport, and
 /// kRelinquish message types on its mote.
 class GroupManager {
  public:
+  /// How often each mote evaluates its sense_e() predicates; condition-
+  /// invoked methods run on the same cadence.
+  static constexpr Duration kSensePollPeriod = Duration::millis(250);
+
   /// `deployment` must outlive the manager.
   GroupManager(node::Mote& mote, const GroupDeployment& deployment);
 

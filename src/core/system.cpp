@@ -91,7 +91,7 @@ TypeIndex EnviroTrackSystem::add_context_type(ContextTypeSpec spec) {
 void EnviroTrackSystem::start() {
   assert(!started_);
   started_ = true;
-  group_types_ = resolve_group_types(specs_, senses_, config_.middleware.group);
+  group_types_ = resolve_group_types(specs_, senses_);
   stacks_.reserve(network_.size());
   for (std::size_t i = 0; i < network_.size(); ++i) {
     // Stack construction and start-up schedule per-mote timers (heartbeat

@@ -8,7 +8,25 @@ namespace et::core {
 
 namespace {
 constexpr const char* kComponent = "mtp";
-}
+
+/// "Leadership information is retained for as long as possible, given
+/// limited table sizes. Replacement is done on a least-recently-used
+/// basis."
+constexpr std::size_t kLeaderTableCapacity = 32;
+/// Forwarding hops an invocation may take past its first landing point
+/// before being dropped as undeliverable.
+constexpr std::uint8_t kMaxForwards = 8;
+/// Receiver-side duplicate-suppression window: completed transfers
+/// remembered per node. Retransmits of an already-delivered invocation
+/// are re-acked but not re-dispatched.
+constexpr std::size_t kDedupCapacity = 128;
+/// A destination label that just failed resolution is negative-cached
+/// for this long: repeat sends fail fast instead of re-querying the
+/// directory every time (the unbounded-re-resolution fix).
+constexpr Duration kNegativeCacheTtl = Duration::seconds(2);
+constexpr std::size_t kNegativeCacheCapacity = 32;
+
+}  // namespace
 
 const char* transport_event_kind_name(TransportEvent::Kind kind) {
   switch (kind) {
@@ -39,11 +57,10 @@ Transport::Transport(node::Mote& mote, net::GeoRouting& routing,
       runtime_(runtime),
       directory_(directory),
       config_(config),
-      leaders_(config.leader_table_capacity),
-      next_seq_(config.leader_table_capacity),
-      delivered_seen_(std::max<std::size_t>(config.dedup_capacity, 1)),
-      resolve_failed_until_(
-          std::max<std::size_t>(config.negative_cache_capacity, 1)) {
+      leaders_(kLeaderTableCapacity),
+      next_seq_(kLeaderTableCapacity),
+      delivered_seen_(kDedupCapacity),
+      resolve_failed_until_(kNegativeCacheCapacity) {
   routing_.on_delivery(radio::MsgType::kMtpData,
                        [this](const net::RouteEnvelope& envelope) {
                          handle_delivery(envelope);
@@ -123,10 +140,9 @@ void Transport::arm_retry(std::uint64_t key) {
   // runs stay bit-reproducible (serial == parallel sweep output).
   const double backoff =
       static_cast<double>(1u << std::min(transfer.attempts, 16));
-  const double jitter =
-      1.0 + config_.retry_jitter * mote_.rng().next_double();
+  const double jitter = 1.0 + kRetryJitter * mote_.rng().next_double();
   transfer.retry_timer =
-      mote_.after(config_.retry_timeout * (backoff * jitter),
+      mote_.after(kRetryTimeout * (backoff * jitter),
                   [this, key] { on_retry_timeout(key); });
 }
 
@@ -134,7 +150,7 @@ void Transport::on_retry_timeout(std::uint64_t key) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   PendingTransfer& transfer = it->second;
-  if (transfer.attempts >= config_.max_retries) {
+  if (transfer.attempts >= kMaxRetries) {
     fail_transfer(key);
     return;
   }
@@ -184,7 +200,7 @@ void Transport::abort_unresolvable(const MtpPayload& payload) {
 }
 
 void Transport::note_resolve_failure(LabelId label) {
-  resolve_failed_until_.put(label, mote_.now() + config_.negative_cache_ttl);
+  resolve_failed_until_.put(label, mote_.now() + kNegativeCacheTtl);
 }
 
 void Transport::resolve_and_send(std::shared_ptr<MtpPayload> payload) {
@@ -213,7 +229,7 @@ void Transport::resolve_and_send(std::shared_ptr<MtpPayload> payload) {
     resolve_failed_until_.erase(payload->dst_label);
   }
 
-  if (directory_ && config_.directory_fallback) {
+  if (directory_) {
     // First contact: look the label up in the directory object of its
     // type, then send. Later messages use the (faster) leader table.
     // One query per label at a time — retransmits and concurrent sends
@@ -342,7 +358,7 @@ void Transport::handle_delivery(const net::RouteEnvelope& envelope) {
 
   // Not (or no longer) the leader: act as a forwarding router along the
   // chain of past leaders.
-  if (incoming->forwards >= config_.max_forwards) {
+  if (incoming->forwards >= kMaxForwards) {
     stats_.dropped_forward_limit++;
     return;
   }

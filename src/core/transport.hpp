@@ -31,44 +31,10 @@
 namespace et::core {
 
 struct TransportConfig {
-  /// "Leadership information is retained for as long as possible, given
-  /// limited table sizes. Replacement is done on a least-recently-used
-  /// basis."
-  std::size_t leader_table_capacity = 32;
-  /// Forwarding hops an invocation may take past its first landing point
-  /// before being dropped as undeliverable.
-  std::uint8_t max_forwards = 8;
-  /// Consult the directory when the destination label is unknown.
-  bool directory_fallback = true;
   /// Acked end-to-end delivery with retransmits. When false the transport
   /// is the original fire-and-forget MTP (kept for ablation: the chaos
   /// sweep compares the two under burst loss).
   bool reliable = true;
-  /// Retransmissions after the initial send before the transfer fails.
-  int max_retries = 4;
-  /// Initial retransmit timeout; doubles on every retry. Should exceed the
-  /// worst-case geo-routed round trip INCLUDING the per-hop ARQ backoff
-  /// ladder, or the end-to-end layer retransmits while the network layer
-  /// is still trying — every premature copy is a fresh routed envelope,
-  /// and under burst loss that amplification congests the channel the
-  /// original frame needed to get through. With the default RoutingConfig
-  /// one lossy hop's ladder alone takes about 1.05-1.6 s (150, 300 and
-  /// 600 ms ack timeouts, each plus up to 50% jitter), so the first
-  /// timeout waits out one exhausted ladder plus the ack's way back.
-  Duration retry_timeout = Duration::millis(2500);
-  /// Uniform jitter fraction added to every retransmit delay (timeout *
-  /// [1, 1 + jitter]), drawn from the mote's deterministic RNG stream so
-  /// synchronized senders desynchronize without breaking reproducibility.
-  double retry_jitter = 0.25;
-  /// Receiver-side duplicate-suppression window: completed transfers
-  /// remembered per node. Retransmits of an already-delivered invocation
-  /// are re-acked but not re-dispatched.
-  std::size_t dedup_capacity = 128;
-  /// A destination label that just failed resolution is negative-cached
-  /// for this long: repeat sends fail fast instead of re-querying the
-  /// directory every time (the unbounded-re-resolution fix).
-  Duration negative_cache_ttl = Duration::seconds(2);
-  std::size_t negative_cache_capacity = 32;
 };
 
 struct TransportStats {
@@ -174,6 +140,23 @@ class Transport {
       TypeIndex, LabelId dst_label, PortId, const std::vector<double>& args)>;
   using Listener = std::function<void(const TransportEvent&)>;
 
+  /// Retransmissions after the initial send before the transfer fails.
+  static constexpr int kMaxRetries = 4;
+  /// Initial retransmit timeout; doubles on every retry. Should exceed the
+  /// worst-case geo-routed round trip INCLUDING the per-hop ARQ backoff
+  /// ladder, or the end-to-end layer retransmits while the network layer
+  /// is still trying — every premature copy is a fresh routed envelope,
+  /// and under burst loss that amplification congests the channel the
+  /// original frame needed to get through. One lossy hop's ladder in
+  /// net::GeoRouting alone takes about 1.05-1.6 s (150, 300 and 600 ms ack
+  /// timeouts, each plus up to 50% jitter), so the first timeout waits out
+  /// one exhausted ladder plus the ack's way back.
+  static constexpr Duration kRetryTimeout = Duration::millis(2500);
+  /// Uniform jitter fraction added to every retransmit delay (timeout *
+  /// [1, 1 + jitter]), drawn from the mote's deterministic RNG stream so
+  /// synchronized senders desynchronize without breaking reproducibility.
+  static constexpr double kRetryJitter = 0.25;
+
   Transport(node::Mote& mote, net::GeoRouting& routing, GroupManager& groups,
             ContextRuntime& runtime, Directory* directory,
             TransportConfig config = {});
@@ -220,7 +203,6 @@ class Transport {
   /// Reliable transfers awaiting an ack at this origin.
   std::size_t pending_transfers() const { return pending_.size(); }
 
-  const TransportConfig& config() const { return config_; }
   const TransportStats& stats() const { return stats_; }
 
  private:

@@ -16,21 +16,6 @@
 /// state.
 namespace et::fuzz {
 
-struct GeneratorConfig {
-  std::size_t min_faults = 1;
-  std::size_t max_faults = 6;
-  std::size_t min_rows = 2;
-  std::size_t max_rows = 4;
-  std::size_t min_cols = 6;
-  std::size_t max_cols = 14;
-  /// Probability knobs for the optional stressors.
-  double p_ge_loss = 0.5;
-  double p_reliable_transport = 0.35;
-  double p_duty_cycle = 0.3;
-  double p_harass = 0.35;
-};
-
-ReproArtifact generate_artifact(std::uint64_t seed,
-                                const GeneratorConfig& config = {});
+ReproArtifact generate_artifact(std::uint64_t seed);
 
 }  // namespace et::fuzz

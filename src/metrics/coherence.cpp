@@ -5,10 +5,19 @@
 
 namespace et::metrics {
 
+namespace {
+
+/// Only *established* labels — leader weight at least this — count toward
+/// coherence, mirroring the paper's observation that spurious leaders "are
+/// unlikely to gather critical mass and hence will not affect system
+/// behavior".
+constexpr std::uint64_t kMinClaimWeight = 1;
+
+}  // namespace
+
 CoherenceMonitor::CoherenceMonitor(core::EnviroTrackSystem& system,
-                                   Duration sample_period,
-                                   std::uint64_t min_claim_weight)
-    : system_(system), min_claim_weight_(min_claim_weight) {
+                                   Duration sample_period)
+    : system_(system) {
   tick_ = system_.sim().schedule_periodic(sample_period, sample_period,
                                           [this] { sample(); });
 }
@@ -46,7 +55,7 @@ void CoherenceMonitor::sample() {
           best = tid;
         }
       }
-      if (best && groups.leader_weight(type) >= min_claim_weight_) {
+      if (best && groups.leader_weight(type) >= kMinClaimWeight) {
         claims[*best].push_back(Claim{groups.current_label(type), node,
                                       groups.leader_weight(type)});
       }

@@ -58,12 +58,9 @@ struct TargetTrackingStats {
 class CoherenceMonitor {
  public:
   /// Starts sampling `system` every `sample_period`. The monitor must
-  /// outlive the run; `system` must already be started. Only *established*
-  /// labels — leader weight >= `min_claim_weight` — count toward coherence,
-  /// mirroring the paper's observation that spurious leaders "are unlikely
-  /// to gather critical mass and hence will not affect system behavior".
-  CoherenceMonitor(core::EnviroTrackSystem& system, Duration sample_period,
-                   std::uint64_t min_claim_weight = 1);
+  /// outlive the run; `system` must already be started. Only established
+  /// labels, whose leader carries weight, count toward coherence.
+  CoherenceMonitor(core::EnviroTrackSystem& system, Duration sample_period);
 
   CoherenceMonitor(const CoherenceMonitor&) = delete;
   CoherenceMonitor& operator=(const CoherenceMonitor&) = delete;
@@ -88,7 +85,6 @@ class CoherenceMonitor {
   };
 
   core::EnviroTrackSystem& system_;
-  std::uint64_t min_claim_weight_;
   mutable std::unordered_map<TargetId, PerTarget> targets_;
   sim::EventHandle tick_;
 };

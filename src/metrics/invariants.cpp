@@ -5,8 +5,27 @@
 namespace et::metrics {
 
 namespace {
+
 constexpr const char* kComponent = "invariants";
-}
+
+/// Leadership scan period.
+constexpr Duration kCheckPeriod = Duration::millis(100);
+/// Epoch-monotonicity checks stay suspended for this long after a
+/// partition heals (stale-epoch takeovers during convergence are the
+/// fence's job to clean up, not a bug).
+constexpr Duration kHealSettle = Duration::seconds(2);
+/// A lower-epoch election within this window of the label's high-water
+/// epoch being raised (or re-contested at the same epoch) is concurrent
+/// takeover churn, not a regression: under heartbeat loss two members
+/// time out together with different epoch knowledge, both elect, and the
+/// duel resolves them. Covers a receive timeout (2.1 x heartbeat) plus a
+/// couple of loss bursts. A *stale-incarnation resurrection* — the real
+/// bug — elects long after the winning side moved on, well outside this.
+constexpr Duration kEpochChurnWindow = Duration::seconds(3);
+/// Protocol events retained for violation traces.
+constexpr std::size_t kTraceDepth = 16;
+
+}  // namespace
 
 const char* invariant_kind_name(InvariantViolation::Kind kind) {
   switch (kind) {
@@ -45,12 +64,12 @@ InvariantOracle::InvariantOracle(core::EnviroTrackSystem& system,
         on_transport_event(node, event);
       });
   scan_timer_ = system_.sim().schedule_periodic(
-      config_.check_period, config_.check_period, [this] { scan_leaders(); });
+      kCheckPeriod, kCheckPeriod, [this] { scan_leaders(); });
 }
 
 void InvariantOracle::push_trace(std::string line) {
   trace_.push_back(std::move(line));
-  while (trace_.size() > config_.trace_depth) trace_.pop_front();
+  while (trace_.size() > kTraceDepth) trace_.pop_front();
 }
 
 void InvariantOracle::record(InvariantViolation::Kind kind,
@@ -87,9 +106,9 @@ void InvariantOracle::on_group_event(const core::GroupEvent& event) {
     // election on a settled, connected network is a regression.
     const bool settling =
         system_.medium().partitioned() ||
-        (heal_seen_ && now - last_heal_ < config_.heal_settle) ||
+        (heal_seen_ && now - last_heal_ < kHealSettle) ||
         system_.medium().node_blackout(event.node) ||
-        now - it->second.contested_at < config_.epoch_churn_window;
+        now - it->second.contested_at < kEpochChurnWindow;
     if (!settling) {
       std::string detail = "node ";
       detail += std::to_string(event.node.value());
@@ -143,8 +162,7 @@ void InvariantOracle::on_transport_event(NodeId node,
       break;
     }
     case core::TransportEvent::Kind::kRetransmit: {
-      const int budget =
-          system_.stack(node).transport()->config().max_retries;
+      const int budget = core::Transport::kMaxRetries;
       if (event.attempt > budget) {
         std::string detail = "transfer seq ";
         detail += std::to_string(event.seq);

@@ -32,7 +32,7 @@
 ///   3. No duplicate delivery: the reliable transport never dispatches the
 ///      same (origin, label, seq) invocation twice on one node.
 ///   4. Bounded retransmission: no transfer is retransmitted more often
-///      than its stack's configured retry budget.
+///      than the transport's retry budget (core::Transport::kMaxRetries).
 ///
 /// Every violation captures a minimal trace — the most recent protocol
 /// events — so a failing chaos run points at the offending interleaving.
@@ -42,22 +42,6 @@ struct InvariantConfig {
   /// Same-label leaders may coexist (takeover races, heal convergence) for
   /// up to this long before overlap is a violation. ~4 heartbeat periods.
   Duration leader_overlap_grace = Duration::seconds(2);
-  /// Leadership scan period.
-  Duration check_period = Duration::millis(100);
-  /// Epoch-monotonicity checks stay suspended for this long after a
-  /// partition heals (stale-epoch takeovers during convergence are the
-  /// fence's job to clean up, not a bug).
-  Duration heal_settle = Duration::seconds(2);
-  /// A lower-epoch election within this window of the label's high-water
-  /// epoch being raised (or re-contested at the same epoch) is concurrent
-  /// takeover churn, not a regression: under heartbeat loss two members
-  /// time out together with different epoch knowledge, both elect, and the
-  /// duel resolves them. Covers a receive timeout (2.1 x heartbeat) plus a
-  /// couple of loss bursts. A *stale-incarnation resurrection* — the real
-  /// bug — elects long after the winning side moved on, well outside this.
-  Duration epoch_churn_window = Duration::seconds(3);
-  /// Protocol events retained for violation traces.
-  std::size_t trace_depth = 16;
 };
 
 struct InvariantViolation {
@@ -125,7 +109,7 @@ class InvariantOracle final : public core::GroupObserver {
   std::map<std::uint64_t, EpochWatermark> max_epoch_;
   /// Exact (receiver, origin, label, seq) tuples delivered (invariant 3).
   std::set<std::array<std::uint64_t, 4>> delivered_;
-  /// Most recent heal; epoch checks resume heal_settle later.
+  /// Most recent heal; epoch checks resume kHealSettle later.
   Time last_heal_;
   bool heal_seen_ = false;
   bool was_partitioned_ = false;

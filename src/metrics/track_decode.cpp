@@ -3,9 +3,8 @@
 namespace et::metrics {
 
 std::optional<DecodedTrack> decode_track_report(
-    const core::UserMessagePayload& msg, std::string_view expected_tag,
-    Time now) {
-  if (msg.tag != expected_tag || msg.data.size() < 2) return std::nullopt;
+    const core::UserMessagePayload& msg, Time now) {
+  if (msg.tag != kTrackTag || msg.data.size() < 2) return std::nullopt;
   DecodedTrack decoded;
   decoded.time = now;
   decoded.label = msg.src_label;

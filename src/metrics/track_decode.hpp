@@ -19,6 +19,10 @@
 /// is `{tag, src_label, epoch, data = [x, y]}`.
 namespace et::metrics {
 
+/// User-message tag of a track report: the tank reporter sends it, the
+/// decoder accepts nothing else.
+inline constexpr std::string_view kTrackTag = "track";
+
 /// One decoded track report, stamped with the receive time.
 struct DecodedTrack {
   Time time;
@@ -28,11 +32,10 @@ struct DecodedTrack {
   std::uint64_t epoch = 0;
 };
 
-/// Interprets `msg` as a track report. Returns nullopt when the tag does
-/// not match or the payload is too short to carry a position.
+/// Interprets `msg` as a track report. Returns nullopt when the tag is not
+/// kTrackTag or the payload is too short to carry a position.
 std::optional<DecodedTrack> decode_track_report(
-    const core::UserMessagePayload& msg, std::string_view expected_tag,
-    Time now);
+    const core::UserMessagePayload& msg, Time now);
 
 /// Per-label leadership-epoch fence: a stale leader (fenced after a
 /// partition heal) may still have reports in flight; once a higher-epoch

@@ -5,15 +5,14 @@
 namespace et::metrics {
 
 TrackRecorder::TrackRecorder(core::EnviroTrackSystem& system,
-                             NodeId base_station, TargetId target,
-                             std::string expected_tag)
-    : system_(system), target_(target), tag_(std::move(expected_tag)) {
+                             NodeId base_station, TargetId target)
+    : system_(system), target_(target) {
   system_.stack(base_station)
       .on_user_message([this](const core::UserMessagePayload& msg, NodeId) {
         // Ambient time: this handler runs in mote context, which under the
         // parallel kernel executes on the base station's tile engine.
         const Time now = sim::Simulator::ambient_now(system_.sim());
-        const auto decoded = decode_track_report(msg, tag_, now);
+        const auto decoded = decode_track_report(msg, now);
         if (!decoded) return;
         if (!fence_.admit(decoded->label, decoded->epoch)) return;
         const Vec2 actual =

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +29,7 @@ class TrackRecorder {
   /// Attaches to `base_station`'s middleware stack. Reports are matched to
   /// ground truth against `target` of the environment.
   TrackRecorder(core::EnviroTrackSystem& system, NodeId base_station,
-                TargetId target, std::string expected_tag = "track");
+                TargetId target);
 
   const std::vector<TrackPoint>& points() const { return points_; }
   std::size_t report_count() const { return points_.size(); }
@@ -52,7 +51,6 @@ class TrackRecorder {
  private:
   core::EnviroTrackSystem& system_;
   TargetId target_;
-  std::string tag_;
   std::vector<TrackPoint> points_;
   std::unordered_map<LabelId, bool> labels_;
   EpochFence fence_;

@@ -11,6 +11,29 @@ namespace {
 
 constexpr const char* kComponent = "geo-routing";
 
+/// How long to wait for the next hop's ack before retrying. Must exceed a
+/// hop round trip under MAC queueing (frame and ack each wait behind the
+/// queued frames of their sender): a shorter timeout turns every late ack
+/// into a retry plus fallback relays, and under the reliable transport
+/// that extra traffic is what backs the queues up further.
+constexpr Duration kAckTimeout = Duration::millis(150);
+/// Ack-timeout multiplier per successive attempt of the same hop. A flat
+/// retry cadence melts down under load: when the MAC queue backs up, the
+/// queueing delay alone exceeds the timeout, every healthy link looks
+/// dead, and the retries feed the very congestion that started it.
+constexpr double kRetryBackoff = 2.0;
+/// Uniform jitter fraction on top of the backoff (desynchronises relays
+/// that lost the same frame). Drawn from the mote's RNG stream, so runs
+/// stay bit-reproducible.
+constexpr double kRetryJitter = 0.5;
+/// Dead-neighbour fallbacks tried per envelope before giving up. In a
+/// dense deployment an uncapped sweep re-sends the envelope to every
+/// closer neighbour — tens of transmissions per envelope during a loss
+/// burst, which is exactly when the channel can least afford them.
+constexpr int kMaxFallbacks = 3;
+/// Remembered envelope ids for duplicate suppression.
+constexpr std::size_t kDedupCapacity = 128;
+
 /// Wire representation of an in-flight envelope.
 class RoutePayload final : public radio::Payload {
  public:
@@ -55,7 +78,7 @@ void GeoRouting::on_delivery(radio::MsgType inner_type,
 }
 
 GeoRouting::Active& GeoRouting::activate() {
-  if (!active_) active_ = std::make_unique<Active>(config_.dedup_capacity);
+  if (!active_) active_ = std::make_unique<Active>(kDedupCapacity);
   return *active_;
 }
 
@@ -197,11 +220,10 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
   // is not misdiagnosed as dead and swept for fallbacks.
   const int attempt = config_.hop_attempts - hop.attempts_left - 1;
   double backoff = 1.0;
-  for (int i = 0; i < attempt; ++i) backoff *= config_.retry_backoff;
-  const double jitter =
-      1.0 + config_.retry_jitter * mote_.rng().next_double();
+  for (int i = 0; i < attempt; ++i) backoff *= kRetryBackoff;
+  const double jitter = 1.0 + kRetryJitter * mote_.rng().next_double();
   hop.timeout = mote_.sim().schedule(
-      config_.ack_timeout * (backoff * jitter), [this, envelope_id] {
+      kAckTimeout * (backoff * jitter), [this, envelope_id] {
     Active& state = *active_;
     auto pending_it = state.pending.find(envelope_id);
     if (pending_it == state.pending.end()) return;  // acked meanwhile
@@ -216,7 +238,7 @@ void GeoRouting::transmit_hop(std::uint64_t envelope_id) {
     // bounded number of times per envelope, or a loss burst turns every
     // envelope into a broadcast storm over all closer neighbours.
     pending.dead.push_back(pending.next_hop);
-    if (static_cast<int>(pending.dead.size()) <= config_.max_fallbacks) {
+    if (static_cast<int>(pending.dead.size()) <= kMaxFallbacks) {
       if (const auto alternative =
               best_next_hop(pending.envelope.dest, pending.dead)) {
         pending.next_hop = *alternative;

@@ -40,33 +40,8 @@ struct RouteEnvelope {
 struct RoutingConfig {
   /// Per-hop transmissions before giving up on a link (1 = no retry).
   int hop_attempts = 3;
-  /// How long to wait for the next hop's ack before retrying. Must exceed a
-  /// hop round trip under MAC queueing (frame and ack each wait behind the
-  /// queued frames of their sender): a shorter timeout turns every late ack
-  /// into a retry plus fallback relays, and under the reliable transport
-  /// that extra traffic is what backs the queues up further.
-  Duration ack_timeout = Duration::millis(150);
-  /// Ack-timeout multiplier per successive attempt of the same hop. A flat
-  /// retry cadence melts down under load: when the MAC queue backs up, the
-  /// queueing delay alone exceeds the timeout, every healthy link looks
-  /// dead, and the retries feed the very congestion that started it.
-  double retry_backoff = 2.0;
-  /// Uniform jitter fraction on top of the backoff (desynchronises relays
-  /// that lost the same frame). Drawn from the mote's RNG stream, so runs
-  /// stay bit-reproducible.
-  double retry_jitter = 0.5;
-  /// Dead-neighbour fallbacks tried per envelope before giving up. In a
-  /// dense deployment an uncapped sweep re-sends the envelope to every
-  /// closer neighbour — tens of transmissions per envelope during a loss
-  /// burst, which is exactly when the channel can least afford them.
-  int max_fallbacks = 3;
   /// TTL for new envelopes.
   std::uint16_t max_hops = 32;
-  /// Remembered envelope ids for duplicate suppression.
-  std::size_t dedup_capacity = 128;
-  /// A node "has arrived" when it is within this distance of the
-  /// destination coordinate and no neighbour is closer.
-  double arrival_radius = 0.75;
 };
 
 struct RoutingStats {

@@ -39,8 +39,11 @@ class Cpu {
     Duration busy = Duration::zero();
   };
 
-  Cpu(sim::Simulator& sim, CpuConfig config)
+  /// `config` is deployment-wide and must outlive the CPU; a temporary
+  /// cannot bind to it.
+  Cpu(sim::Simulator& sim, const CpuConfig& config)
       : sim_(sim), config_(config) {}
+  Cpu(sim::Simulator& sim, CpuConfig&& config) = delete;
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -73,7 +76,7 @@ class Cpu {
   void start_next();
 
   sim::Simulator& sim_;
-  CpuConfig config_;
+  const CpuConfig& config_;
   /// Tasks waiting behind the running one. A post to an idle CPU starts
   /// right away and never touches the queue.
   FifoQueue<Task> queue_;

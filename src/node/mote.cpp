@@ -7,7 +7,7 @@
 namespace et::node {
 
 Mote::Mote(sim::Simulator& sim, radio::Medium& medium, env::Environment& env,
-           NodeId id, Vec2 position, CpuConfig cpu_config)
+           NodeId id, Vec2 position, const CpuConfig& cpu_config)
     : sim_(sim),
       medium_(medium),
       env_(env),

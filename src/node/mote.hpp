@@ -32,8 +32,12 @@ class Mote {
   /// for applications.
   static constexpr std::size_t kMaxHandlers = 8;
 
+  /// `cpu_config` must outlive the mote (MoteNetwork owns the one copy); a
+  /// temporary cannot bind to it.
   Mote(sim::Simulator& sim, radio::Medium& medium, env::Environment& env,
-       NodeId id, Vec2 position, CpuConfig cpu_config = {});
+       NodeId id, Vec2 position, const CpuConfig& cpu_config);
+  Mote(sim::Simulator& sim, radio::Medium& medium, env::Environment& env,
+       NodeId id, Vec2 position, CpuConfig&& cpu_config) = delete;
 
   Mote(const Mote&) = delete;
   Mote& operator=(const Mote&) = delete;

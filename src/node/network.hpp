@@ -38,6 +38,8 @@ class MoteNetwork {
   }
 
  private:
+  /// The deployment's one CPU configuration; every mote's Cpu refers to it.
+  CpuConfig cpu_config_;
   std::vector<std::unique_ptr<Mote>> motes_;
 };
 

@@ -57,7 +57,7 @@ Medium::Medium(sim::Simulator& sim, RadioConfig config)
 }
 
 Duration Medium::min_airtime() const {
-  return Duration::seconds(static_cast<double>(config_.header_bytes) * 8.0 /
+  return Duration::seconds(static_cast<double>(kHeaderBytes) * 8.0 /
                            config_.bitrate_bps);
 }
 
@@ -136,7 +136,7 @@ Medium::ActiveEndpoint& Medium::activate(NodeId id) {
 
 Duration Medium::airtime_of(const Frame& frame) const {
   const std::size_t bytes =
-      config_.header_bytes + (frame.payload ? frame.payload->size_bytes() : 0);
+      kHeaderBytes + (frame.payload ? frame.payload->size_bytes() : 0);
   return Duration::seconds(static_cast<double>(bytes) * 8.0 /
                            config_.bitrate_bps);
 }
@@ -270,8 +270,7 @@ void Medium::begin_transmission(NodeId id) {
   active_.push_back(Transmission{tx_id, id, ep.pos, start, end});
   history_.push_back(Transmission{tx_id, id, ep.pos, start, end});
 
-  const std::size_t bytes =
-      config_.header_bytes + frame.payload->size_bytes();
+  const std::size_t bytes = kHeaderBytes + frame.payload->size_bytes();
   stats_.bits_sent += bytes * 8;
   stats_.airtime += airtime;
   stats_.of(frame.type).transmitted++;
@@ -384,7 +383,7 @@ void Medium::attempt_delivery(std::uint32_t k,
   acc.delivered++;
   active.stats.frames_received++;
   active.stats.bits_received +=
-      (config_.header_bytes + frame.payload->size_bytes()) * 8;
+      (kHeaderBytes + frame.payload->size_bytes()) * 8;
   // Hand the frame to the receiver's simulator rx_latency() after
   // completion at the key pre-assigned to this candidate slot. The latency
   // is what lets tiles run a whole lookahead window without hearing from

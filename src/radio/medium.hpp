@@ -69,8 +69,6 @@ struct RadioConfig {
   double loss_probability = 0.05;
   /// Optional bursty replacement for the i.i.d. random loss above.
   BurstLossConfig burst_loss;
-  /// Link-layer header added to every payload (TinyOS AM-style).
-  std::size_t header_bytes = 7;
   /// CSMA backoff slot; actual backoff is uniform over an exponentially
   /// growing window of slots.
   Duration backoff_slot = Duration::millis(2);
@@ -107,6 +105,8 @@ class Medium {
   /// on the receiver's tile, concurrently for receivers on different tiles.
   using Receiver = std::function<void(NodeId to, const Frame&)>;
 
+  /// Link-layer header added to every payload (TinyOS AM-style).
+  static constexpr std::size_t kHeaderBytes = 7;
   /// Latency between a mote handing a frame to the radio stack and the MAC
   /// taking it over (serialising the frame into the transceiver FIFO), in
   /// minimum frame airtimes.

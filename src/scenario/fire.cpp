@@ -9,7 +9,6 @@ FireScenario::FireScenario(const FireScenarioParams& params)
       field_(env::Field::grid(params.rows, params.cols)) {
   core::SystemConfig config;
   config.radio = params.radio;
-  config.radio.comm_radius = params.comm_radius;
   config.middleware.group = params.group;
   // Fires grow to ~2.5 units; scale the identity radii accordingly.
   config.middleware.group.suppression_radius = 4.0;

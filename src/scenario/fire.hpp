@@ -19,7 +19,6 @@ namespace et::scenario {
 struct FireScenarioParams {
   std::size_t rows = 15;
   std::size_t cols = 15;
-  double comm_radius = 6.0;
   core::GroupConfig group;
   radio::RadioConfig radio;
 

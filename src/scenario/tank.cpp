@@ -1,10 +1,14 @@
 #include "scenario/tank.hpp"
 
 #include <cassert>
+#include <string>
 
 namespace et::scenario {
 
 namespace {
+
+/// How often the run's coherence monitor samples leadership.
+constexpr Duration kCoherenceSamplePeriod = Duration::millis(100);
 
 /// Builds the Fig. 2 "tracker" context declaration in spec form.
 core::ContextTypeSpec make_tracker_spec(const TankScenarioParams& params) {
@@ -32,7 +36,8 @@ core::ContextTypeSpec make_tracker_spec(const TankScenarioParams& params) {
       // MySend(pursuer, self.label, location): only confirmed sitings are
       // reported (the read is null below critical mass).
       if (auto location = ctx.read_vector("location")) {
-        ctx.send_to_node(pursuer, "track", {location->x, location->y});
+        ctx.send_to_node(pursuer, std::string(metrics::kTrackTag),
+                         {location->x, location->y});
       }
     };
   }
@@ -67,7 +72,6 @@ TankScenario::TankScenario(const TankScenarioParams& params)
 
   core::SystemConfig config;
   config.radio = params.radio;
-  config.radio.comm_radius = params.comm_radius;
   config.cpu = params.cpu;
   config.middleware.group = params.group;
   // Label-identity radii scale with the sensory signature: two estimates
@@ -95,10 +99,10 @@ TankScenario::TankScenario(const TankScenarioParams& params)
   system_->add_group_observer(&event_log_);
 
   monitor_ = std::make_unique<metrics::CoherenceMonitor>(
-      *system_, params.coherence_sample_period);
+      *system_, kCoherenceSamplePeriod);
   if (params.base_station) {
     recorder_ = std::make_unique<metrics::TrackRecorder>(
-        *system_, *params.base_station, target_, "track");
+        *system_, *params.base_station, target_);
   }
   if (params.cross_traffic) {
     start_cross_traffic(*system_, *params.cross_traffic);
@@ -122,17 +126,7 @@ TankRunResult TankScenario::result() const {
     result.track_labels = recorder_->distinct_labels();
   }
   for (std::size_t i = 0; i < system_->node_count(); ++i) {
-    const auto& gs = system_->stack(NodeId{i}).groups().stats();
-    result.groups.heartbeats_sent += gs.heartbeats_sent;
-    result.groups.heartbeats_relayed += gs.heartbeats_relayed;
-    result.groups.reports_sent += gs.reports_sent;
-    result.groups.reports_received += gs.reports_received;
-    result.groups.labels_created += gs.labels_created;
-    result.groups.takeovers += gs.takeovers;
-    result.groups.relinquishes += gs.relinquishes;
-    result.groups.yields += gs.yields;
-    result.groups.suppressions += gs.suppressions;
-    result.groups.joins += gs.joins;
+    result.groups += system_->stack(NodeId{i}).groups().stats();
 
     const auto& cs = system_->network().mote(NodeId{i}).cpu().stats();
     result.cpu.posted += cs.posted;

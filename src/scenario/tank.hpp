@@ -25,7 +25,6 @@ struct TankScenarioParams {
   // Deployment.
   std::size_t rows = 3;
   std::size_t cols = 12;
-  double comm_radius = 6.0;
   double sensing_radius = kTankSensingRadius;
 
   // Target motion: crosses from left of the field to right of it along
@@ -58,7 +57,6 @@ struct TankScenarioParams {
 
   /// Extra simulated time after the target leaves the field.
   Duration cooldown = Duration::seconds(3);
-  Duration coherence_sample_period = Duration::millis(100);
 
   /// Kernel selection: the serial kernel (default) or the parallel tiled
   /// kernel; both run the one canonical event order.

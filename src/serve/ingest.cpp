@@ -2,9 +2,17 @@
 
 namespace et::serve {
 
+namespace {
+
+/// Timer-driven flush bound: a trickle of reports reaches the store at
+/// most this late.
+constexpr Duration kFlushPeriod = Duration::millis(50);
+
+}  // namespace
+
 TrackIngest::TrackIngest(core::EnviroTrackSystem& system, NodeId base_station,
                          ShardedTrackStore& store, IngestConfig config)
-    : system_(system), store_(store), config_(std::move(config)) {
+    : system_(system), store_(store), config_(config) {
   pending_.reserve(config_.max_batch);
   system_.stack(base_station)
       .on_user_message([this](const core::UserMessagePayload& msg, NodeId) {
@@ -12,12 +20,11 @@ TrackIngest::TrackIngest(core::EnviroTrackSystem& system, NodeId base_station,
         // the master engine as a channel op — fence and batch state are
         // single-threaded and canonically ordered there.
         const Time now = sim::Simulator::ambient_now(system_.sim());
-        const auto decoded = metrics::decode_track_report(msg, config_.tag, now);
+        const auto decoded = metrics::decode_track_report(msg, now);
         if (!decoded) return;
         system_.sim().post_op([this, d = *decoded] { enqueue(d); });
       });
-  tick_ = system_.sim().schedule_periodic(config_.flush_period,
-                                          config_.flush_period,
+  tick_ = system_.sim().schedule_periodic(kFlushPeriod, kFlushPeriod,
                                           [this] { flush(); });
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/system.hpp"
@@ -26,12 +25,8 @@
 namespace et::serve {
 
 struct IngestConfig {
-  std::string tag = "track";
   /// Flush to the store once this many admitted reports are pending.
   std::size_t max_batch = 32;
-  /// Timer-driven flush bound: a trickle of reports reaches the store at
-  /// most this late.
-  Duration flush_period = Duration::millis(50);
   /// Keep every admitted report in an in-order tape (bench replay input).
   bool record_tape = false;
 };

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/shrink.hpp"
 #include "fuzz/trial.hpp"
+#include "scenario/tank.hpp"
 
 /// The chaos fuzzer's building blocks: artifact JSON round-trips, seeded
 /// generator determinism, the stacked-oracle trial runner, and the
@@ -138,6 +142,55 @@ TEST(ChaosTrial, ExpectationMatching) {
 
   artifact.expect_failure = "watchdog";
   EXPECT_FALSE(matches_expectation(artifact, failed));
+}
+
+TEST(ChaosTrial, TankResultSumsEveryGroupCounter) {
+  // The digest's group rows come from TankScenario::result(); a counter it
+  // leaves out reads 0 on both kernels and the differential compares
+  // nothing. Seed 13's faults make the epoch counters move.
+  const ReproArtifact artifact = generate_artifact(13);
+  scenario::TankScenario scenario(
+      artifact.scenario.to_params(artifact.seed, sim::KernelConfig{}));
+  fault::FaultInjector injector(scenario.system());
+  ASSERT_TRUE(injector.schedule(artifact.plan).ok());
+  if (artifact.scenario.harass) {
+    ASSERT_TRUE(injector
+                    .harass_leaders(scenario.tracker_type(),
+                                    artifact.scenario.harass_period,
+                                    artifact.scenario.harass_downtime)
+                    .ok());
+  }
+  const scenario::TankRunResult result = scenario.run();
+
+  using Counter = std::uint64_t core::GroupStats::*;
+  const auto per_stack_sum = [&](Counter counter) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < scenario.system().node_count(); ++i) {
+      sum += scenario.system().stack(NodeId{i}).groups().stats().*counter;
+    }
+    return sum;
+  };
+  const std::pair<const char*, Counter> counters[] = {
+      {"heartbeats_sent", &core::GroupStats::heartbeats_sent},
+      {"heartbeats_relayed", &core::GroupStats::heartbeats_relayed},
+      {"reports_sent", &core::GroupStats::reports_sent},
+      {"reports_received", &core::GroupStats::reports_received},
+      {"labels_created", &core::GroupStats::labels_created},
+      {"takeovers", &core::GroupStats::takeovers},
+      {"relinquishes", &core::GroupStats::relinquishes},
+      {"yields", &core::GroupStats::yields},
+      {"suppressions", &core::GroupStats::suppressions},
+      {"joins", &core::GroupStats::joins},
+      {"fenced", &core::GroupStats::fenced},
+      {"stale_heartbeats_ignored",
+       &core::GroupStats::stale_heartbeats_ignored},
+      {"epochs_absorbed", &core::GroupStats::epochs_absorbed},
+  };
+  for (const auto& [name, counter] : counters) {
+    EXPECT_EQ(result.groups.*counter, per_stack_sum(counter)) << name;
+  }
+  EXPECT_GT(per_stack_sum(&core::GroupStats::stale_heartbeats_ignored), 0u);
+  EXPECT_GT(per_stack_sum(&core::GroupStats::epochs_absorbed), 0u);
 }
 
 // --- Shrinker, driven by a synthetic predicate -------------------------

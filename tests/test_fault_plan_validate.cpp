@@ -182,7 +182,9 @@ TEST(FaultPlanValidate, FromJsonRejectsMalformedDocuments) {
     ASSERT_TRUE(doc.ok()) << text;
     const Expected<FaultPlan> plan = FaultPlan::from_json(doc.value());
     EXPECT_FALSE(plan.ok()) << text;
-    if (!plan.ok()) EXPECT_EQ(plan.error().code, "fault_plan_json");
+    if (!plan.ok()) {
+      EXPECT_EQ(plan.error().code, "fault_plan_json");
+    }
   };
   reject("[]");
   reject("{}");

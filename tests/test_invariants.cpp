@@ -112,11 +112,7 @@ TEST(Invariants, RetryBudgetOverrunFlagged) {
   TestWorld world(transport_options());
   InvariantOracle oracle(world.system());
   const LabelId label = LabelId::make(NodeId{1}, 1);
-  const int budget = world.system()
-                         .stack(NodeId{0})
-                         .transport()
-                         ->config()
-                         .max_retries;
+  const int budget = core::Transport::kMaxRetries;
 
   TransportEvent event{TransportEvent::Kind::kRetransmit,
                        world.sim().now(),

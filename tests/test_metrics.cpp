@@ -125,8 +125,7 @@ TEST(TrackRecorder, RecordsOnlyMatchingTag) {
   };
   TestWorld world(options);
   const TargetId target = world.add_blob({3.5, 1.0});
-  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target,
-                                  "track");
+  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target);
   world.run(8);
 
   ASSERT_GE(recorder.report_count(), 5u);
@@ -146,8 +145,7 @@ TEST(TrackRecorder, EmptyTrackErrorIsNaNNotZero) {
   // A blob far off-grid: exists as ground truth, is never sensed, so the
   // base station never hears a single report.
   const TargetId target = world.add_blob({100.0, 100.0}, 0.01);
-  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target,
-                                  "track");
+  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target);
   world.run(3);
   ASSERT_EQ(recorder.report_count(), 0u);
   EXPECT_TRUE(std::isnan(recorder.mean_error()))

@@ -36,7 +36,8 @@ struct NodeTest : public ::testing::Test {
 };
 
 TEST_F(NodeTest, CpuExecutesTasksSequentially) {
-  Cpu cpu(sim, CpuConfig{Duration::millis(10), Duration::millis(5), 4});
+  const CpuConfig config{Duration::millis(10), Duration::millis(5), 4};
+  Cpu cpu(sim, config);
   std::vector<int> order;
   cpu.post(Duration::millis(10), [&] { order.push_back(1); });
   cpu.post(Duration::millis(10), [&] { order.push_back(2); });
@@ -49,7 +50,8 @@ TEST_F(NodeTest, CpuExecutesTasksSequentially) {
 }
 
 TEST_F(NodeTest, CpuQueueOverflowDrops) {
-  Cpu cpu(sim, CpuConfig{Duration::millis(10), Duration::millis(5), 2});
+  const CpuConfig config{Duration::millis(10), Duration::millis(5), 2};
+  Cpu cpu(sim, config);
   int executed = 0;
   // One runs immediately; capacity 2 queue; the rest drop.
   for (int i = 0; i < 6; ++i) {
@@ -62,7 +64,8 @@ TEST_F(NodeTest, CpuQueueOverflowDrops) {
 }
 
 TEST_F(NodeTest, CpuQueueKeepsPostOrderThroughGrowthAndWrapAround) {
-  Cpu cpu(sim, CpuConfig{Duration::millis(10), Duration::millis(5), 64});
+  const CpuConfig config{Duration::millis(10), Duration::millis(5), 64};
+  Cpu cpu(sim, config);
   std::vector<int> accepted;
   std::vector<int> order;
   int next_id = 0;
@@ -91,7 +94,8 @@ TEST_F(NodeTest, CpuQueueKeepsPostOrderThroughGrowthAndWrapAround) {
 }
 
 TEST_F(NodeTest, CpuTasksSeeEffectsAfterServiceTime) {
-  Cpu cpu(sim, CpuConfig{});
+  const CpuConfig config{};
+  Cpu cpu(sim, config);
   Time ran_at;
   cpu.post(Duration::millis(30), [&] { ran_at = sim.now(); });
   sim.run_for(Duration::seconds(1));

@@ -421,7 +421,7 @@ TEST(ParallelKernel, LookaheadDerivedFromRadioConstants) {
   radio::Medium medium(sim, radio::RadioConfig{});
   const radio::RadioConfig defaults;
   const auto expected_us = static_cast<std::int64_t>(
-      defaults.header_bytes * 8 * 1e6 / defaults.bitrate_bps);
+      radio::Medium::kHeaderBytes * 8 * 1e6 / defaults.bitrate_bps);
   EXPECT_GT(medium.min_airtime(), Duration::zero());
   EXPECT_EQ(medium.min_airtime().to_micros(), expected_us);
 }

@@ -17,7 +17,6 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::PartitionSpec;
 using metrics::InvariantOracle;
-using metrics::InvariantViolation;
 
 /// Nodes whose x coordinate is strictly left of `boundary`.
 std::vector<NodeId> nodes_left_of(TestWorld& world, double boundary) {
@@ -35,14 +34,6 @@ PartitionSpec split_at(TestWorld& world, double boundary) {
   PartitionSpec spec;
   spec.components.push_back(nodes_left_of(world, boundary));
   return spec;
-}
-
-bool has_violation(const InvariantOracle& oracle,
-                   InvariantViolation::Kind kind) {
-  for (const auto& violation : oracle.violations()) {
-    if (violation.kind == kind) return true;
-  }
-  return false;
 }
 
 TEST(Partition, BlocksFramesUntilHealed) {

@@ -209,14 +209,15 @@ TEST(ReliableTransport, RetryBudgetExhaustionFiresDeliveryFailed) {
   mtp.isolate(*blob_leader);  // never healed: the transfer cannot succeed
   origin->invoke(1, label, PortId{0}, {7.0});
   // Run past the whole retry budget, whatever its timing: the timer
-  // doubles from retry_timeout through max_retries retransmits, the
+  // doubles from kRetryTimeout through kMaxRetries retransmits, the
   // failure fires when the last doubled timer expires, and jitter
-  // stretches each delay by at most (1 + retry_jitter). One more second
+  // stretches each delay by at most (1 + kRetryJitter). One more second
   // covers the timers' CPU service.
-  const core::TransportConfig& config = origin->config();
-  const double ladder = static_cast<double>((2 << config.max_retries) - 1);
+  using core::Transport;
+  const double ladder =
+      static_cast<double>((2 << Transport::kMaxRetries) - 1);
   const Duration horizon =
-      config.retry_timeout * (ladder * (1.0 + config.retry_jitter));
+      Transport::kRetryTimeout * (ladder * (1.0 + Transport::kRetryJitter));
   mtp.world->run(horizon.to_seconds() + 1.0);
 
   EXPECT_EQ(mtp.pings, 0);
@@ -226,7 +227,7 @@ TEST(ReliableTransport, RetryBudgetExhaustionFiresDeliveryFailed) {
   EXPECT_DOUBLE_EQ(failed_args[0], 7.0);
   EXPECT_EQ(origin->stats().delivery_failures, 1u);
   EXPECT_EQ(origin->stats().retransmits,
-            static_cast<std::uint64_t>(origin->config().max_retries))
+            static_cast<std::uint64_t>(Transport::kMaxRetries))
       << "the budget bounds retransmissions exactly";
   EXPECT_EQ(origin->pending_transfers(), 0u);
   EXPECT_TRUE(oracle.ok()) << oracle.report();

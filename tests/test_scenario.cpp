@@ -124,7 +124,7 @@ TEST(SpeedSearch, FindsABoundedMaximum) {
 TEST(SpeedSearch, ZeroWhenEvenLowFails) {
   SpeedSearchParams search;
   search.base.cols = 10;
-  search.base.comm_radius = 0.4;  // radio can't even reach neighbours
+  search.base.radio.comm_radius = 0.4;  // radio can't even reach neighbours
   search.seeds = 1;
   EXPECT_DOUBLE_EQ(find_max_trackable_speed(search), 0.0);
 }

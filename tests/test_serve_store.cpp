@@ -230,8 +230,7 @@ TEST(ServeIngest, CoexistsWithTrackRecorder) {
   };
   TestWorld world(options);
   const TargetId target = world.add_blob({3.5, 1.0});
-  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target,
-                                  "track");
+  metrics::TrackRecorder recorder(world.system(), NodeId{0}, target);
   serve::ShardedTrackStore store;
   serve::TrackIngest ingest(world.system(), NodeId{0}, store);
 

@@ -2,19 +2,31 @@
 """A/B check that a change moves no simulated outcome.
 
     python3 tools/digest_ab.py --base ../parent --head . --seeds 11 12 [--jobs 2]
+    python3 tools/digest_ab.py --base ../parent --head . --outputs [--jobs 2]
 
-Builds bench/perf's `etbench` for two source trees (each under its own
-`.bench_build/perf/`, as bench/perf/run.py does) and runs `etbench sim` on
-both fields (sparse_100k, dense_6k) x both kernels (serial, parallel:3) x
-every seed, untraced. For each run it compares the two trees' deterministic
-counts (`sim.events` included) and per-second state digests. Prints one line
-per run, with each tree's peak RSS for information, and exits 0 when every
-run matches, 1 on any difference, 2 on a build or usage error.
+With --seeds, builds bench/perf's `etbench` for two source trees (each under
+its own `.bench_build/perf/`, as bench/perf/run.py does) and runs `etbench
+sim` on both fields (sparse_100k, dense_6k) x both kernels (serial,
+parallel:3) x every seed, untraced. For each run it compares the two trees'
+deterministic counts (`sim.events` included) and per-second state digests,
+printing each tree's peak RSS for information.
+
+With --outputs, builds the tier-1 tree on each side (under `<tree>/build-ab/`)
+and diffs the outputs that must not move, each at its default seeds:
+chaos_sweep with 1 and 4 sweep threads and on the parallel:4 kernel (the
+thread-count line normalised, as CI does), the seven figure benches,
+examples/fire_monitoring, the verdicts of `ctest -R '^ChaosCorpus'`, and
+`chaos_fuzz --seed 1`'s per-trial verdict lines with wall-clock fields
+masked. Exit codes are part of each compared output.
+
+Prints one line per run or output, and exits 0 when everything matches, 1 on
+any difference, 2 on a build or usage error.
 """
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -87,48 +99,186 @@ def differences(base, head):
     return out
 
 
+def compare_sims(args):
+    """The --seeds mode; returns the number of differing runs."""
+    build_jobs = min(4, os.cpu_count() or 1)
+    binaries = {"base": build(args.base, build_jobs),
+                "head": build(args.head, build_jobs)}
+    cases = [(field, kernel, seed) for seed in args.seeds
+             for field in FIELDS for kernel in KERNELS]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = {(case, side): pool.submit(run_sim, binary, *case)
+                   for case in cases
+                   for side, binary in binaries.items()}
+        mismatches = 0
+        for case in cases:
+            base = futures[(case, "base")].result()
+            head = futures[(case, "head")].result()
+            diff = differences(base, head)
+            field, kernel, seed = case
+            name = f"{field} {kernel} seed {seed}"
+            rss = f"peak RSS {base[2]:.1f} -> {head[2]:.1f} MB"
+            if diff:
+                mismatches += 1
+                print(f"DIFFER {name}: " + "; ".join(diff) + f"; {rss}",
+                      flush=True)
+            else:
+                events = base[0].get("sim.events")
+                print(f"same   {name}: {len(base[1])} digests, "
+                      f"{len(base[0])} counts, sim.events {events:.0f}; "
+                      f"{rss}", flush=True)
+    print(f"{len(cases) - mismatches} of {len(cases)} runs identical")
+    return mismatches
+
+
+FIGURE_BENCHES = ("fig3_trajectory", "fig4_handover", "fig5_timers",
+                  "fig6_ratio", "table1_comm", "ablation_group_mgmt",
+                  "baseline_compare")
+FUZZ_TRIALS = 2000
+# What the benches read from the environment; cleared so that every output
+# runs at its defaults unless the output sets it.
+BENCH_ENV = ("ET_KERNEL", "ET_BENCH_SEEDS", "ET_BENCH_THREADS",
+             "ET_BENCH_JSON_DIR", "ET_BENCH_CSV_DIR")
+# The fuzz campaign runs for minutes; an output slower than this is hung.
+OUTPUT_TIMEOUT_S = 3600
+
+
+def build_tier1(tree, jobs):
+    """Builds the targets behind every output of `tree`; returns the dir."""
+    tree = Path(tree).resolve()
+    if not (tree / "CMakeLists.txt").is_file():
+        raise ToolError(f"{tree}: no CMakeLists.txt")
+    out = tree / "build-ab"
+    if not (out / "CMakeCache.txt").is_file():
+        cmd = ["cmake", "-S", str(tree), "-B", str(out),
+               "-DCMAKE_BUILD_TYPE=RelWithDebInfo"]
+        if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
+            raise ToolError(f"{tree}: cmake configure failed")
+    cmd = ["cmake", "--build", str(out), "-j", str(jobs), "--target",
+           "chaos_sweep", *FIGURE_BENCHES, "fire_monitoring", "chaos_fuzz",
+           "et_test_chaos_corpus"]
+    if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
+        raise ToolError(f"{tree}: build failed")
+    (out / "fuzz-out").mkdir(exist_ok=True)
+    return out
+
+
+def sweep_threads(text):
+    """The sweep's thread count is the one line allowed to differ."""
+    return re.sub(r"[0-9]* sweep threads", "N sweep threads", text)
+
+
+def ctest_verdicts(text):
+    """Each test's name and result, sorted: numbers and timings move."""
+    verdicts = re.findall(r"Test +#[0-9]+: (\S+) \.+ *(.*?) +[0-9.]+ sec",
+                          text)
+    lines = sorted(f"{name} {result}" for name, result in verdicts)
+    lines += re.findall(r".*tests passed.*", text)
+    return "".join(line + "\n" for line in lines)
+
+
+def fuzz_verdicts(text):
+    """Masks the campaign's wall-clock time and rate."""
+    return re.sub(r"[0-9.]+ wall s \([0-9]+ trials/hour\)",
+                  "<wall> wall s (<rate> trials/hour)", text)
+
+
+def outputs(build_dir):
+    """(name, argv, environment, normaliser) of every compared output."""
+    sweep = [str(build_dir / "bench" / "chaos_sweep")]
+    return [
+        ("chaos_sweep 1 thread", sweep, {"ET_BENCH_THREADS": "1"},
+         sweep_threads),
+        ("chaos_sweep 4 threads", sweep, {"ET_BENCH_THREADS": "4"},
+         sweep_threads),
+        ("chaos_sweep parallel:4", sweep,
+         {"ET_KERNEL": "parallel:4", "ET_BENCH_THREADS": "1"},
+         sweep_threads),
+        *[(name, [str(build_dir / "bench" / name)], {}, None)
+          for name in FIGURE_BENCHES],
+        ("fire_monitoring", [str(build_dir / "examples" / "fire_monitoring")],
+         {}, None),
+        ("ctest ChaosCorpus",
+         ["ctest", "--test-dir", str(build_dir), "-R", "^ChaosCorpus"], {},
+         ctest_verdicts),
+        ("chaos_fuzz --seed 1",
+         [str(build_dir / "tools" / "chaos_fuzz"), "--seed", "1", "--trials",
+          str(FUZZ_TRIALS), "--verbose", "--out",
+          str(build_dir / "fuzz-out")], {}, fuzz_verdicts),
+    ]
+
+
+def run_output(build_dir, argv, extra_env, normalise):
+    """Runs one output from `build_dir`; returns its text and exit code."""
+    env = {k: v for k, v in os.environ.items() if k not in BENCH_ENV}
+    env.update(extra_env)
+    try:
+        proc = subprocess.run(argv, cwd=build_dir, env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              timeout=OUTPUT_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise ToolError(f"{' '.join(argv)}: timed out")
+    except OSError as err:
+        raise ToolError(f"{' '.join(argv)}: {err}")
+    text = normalise(proc.stdout) if normalise else proc.stdout
+    return text + f"exit {proc.returncode}\n"
+
+
+def first_difference(base, head):
+    base_lines, head_lines = base.splitlines(), head.splitlines()
+    for i, (a, b) in enumerate(zip(base_lines, head_lines)):
+        if a != b:
+            return f"line {i + 1}: {a!r} -> {b!r}"
+    return f"{len(base_lines)} -> {len(head_lines)} lines"
+
+
+def compare_outputs(args):
+    """The --outputs mode; returns the number of differing outputs."""
+    build_jobs = min(4, os.cpu_count() or 1)
+    dirs = {"base": build_tier1(args.base, build_jobs),
+            "head": build_tier1(args.head, build_jobs)}
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = {side: [(name, pool.submit(run_output, build_dir, argv, env,
+                                             normalise))
+                          for name, argv, env, normalise in outputs(build_dir)]
+                   for side, build_dir in dirs.items()}
+        mismatches = 0
+        for (name, base), (_, head) in zip(futures["base"], futures["head"]):
+            base_text, head_text = base.result(), head.result()
+            if base_text != head_text:
+                mismatches += 1
+                print(f"DIFFER {name}: "
+                      f"{first_difference(base_text, head_text)}", flush=True)
+            else:
+                lines = len(base_text.splitlines())
+                print(f"same   {name}: {lines} lines", flush=True)
+    total = len(futures["base"])
+    print(f"{total - mismatches} of {total} outputs identical")
+    return mismatches
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="source tree A")
     parser.add_argument("--head", required=True, help="source tree B")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", type=int, nargs="+",
+                      help="compare etbench sim runs at these seeds")
+    mode.add_argument("--outputs", action="store_true",
+                      help="compare the tier-1 benches' and tools' outputs")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="runs in flight at once (each holds one field)")
+                        help="runs in flight at once")
     args = parser.parse_args()
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
     try:
-        build_jobs = min(4, os.cpu_count() or 1)
-        binaries = {"base": build(args.base, build_jobs),
-                    "head": build(args.head, build_jobs)}
-        cases = [(field, kernel, seed) for seed in args.seeds
-                 for field in FIELDS for kernel in KERNELS]
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {(case, side): pool.submit(run_sim, binary, *case)
-                       for case in cases
-                       for side, binary in binaries.items()}
-            mismatches = 0
-            for case in cases:
-                base = futures[(case, "base")].result()
-                head = futures[(case, "head")].result()
-                diff = differences(base, head)
-                field, kernel, seed = case
-                name = f"{field} {kernel} seed {seed}"
-                rss = f"peak RSS {base[2]:.1f} -> {head[2]:.1f} MB"
-                if diff:
-                    mismatches += 1
-                    print(f"DIFFER {name}: " + "; ".join(diff) + f"; {rss}",
-                          flush=True)
-                else:
-                    events = base[0].get("sim.events")
-                    print(f"same   {name}: {len(base[1])} digests, "
-                          f"{len(base[0])} counts, sim.events {events:.0f}; "
-                          f"{rss}", flush=True)
+        mismatches = compare_outputs(args) if args.outputs else \
+            compare_sims(args)
     except ToolError as err:
         log(str(err))
         return 2
-    print(f"{len(cases) - mismatches} of {len(cases)} runs identical")
     return 1 if mismatches else 0
 
 
