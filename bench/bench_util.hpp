@@ -1,10 +1,8 @@
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "sim/kernel_config.hpp"
 
@@ -83,82 +81,6 @@ inline sim::KernelConfig kernel_from_env() {
   }
   return kernel;
 }
-
-/// Accumulates machine-readable {config, seed, metric, value} rows and
-/// renders them as a JSON array — the persisted BENCH_*.json format that
-/// lets the perf/robustness trajectory survive repo re-anchors. Rows are
-/// appended in deterministic (job) order so serial and parallel sweeps
-/// produce byte-identical files.
-class JsonRows {
- public:
-  void add(const std::string& config, std::uint64_t seed,
-           const std::string& metric, double value) {
-    // Only the double goes through a bounded snprintf; the row itself is
-    // assembled as a std::string so an arbitrarily long config or metric
-    // name can never truncate the row and corrupt the JSON file.
-    // JSON has no NaN/Inf literal; non-finite metric values (e.g. the NaN
-    // mean_error of a run with zero reports) become null.
-    char num[32];
-    if (std::isfinite(value)) {
-      std::snprintf(num, sizeof(num), "%.6g", value);
-    } else {
-      std::snprintf(num, sizeof(num), "null");
-    }
-    std::string row = "  {\"config\": \"";
-    row += config;
-    row += "\", \"seed\": ";
-    row += std::to_string(seed);
-    row += ", \"metric\": \"";
-    row += metric;
-    row += "\", \"value\": ";
-    row += num;
-    row += "}";
-    rows_.push_back(std::move(row));
-  }
-
-  /// Like add(), but renders the value with full round-trip precision
-  /// (%.17g). The chaos fuzzer's serial-vs-parallel differential diffs
-  /// these rows byte-for-byte, so a divergence below %.6g must not be
-  /// rounded away.
-  void add_exact(const std::string& config, std::uint64_t seed,
-                 const std::string& metric, double value) {
-    char num[40];
-    if (std::isfinite(value)) {
-      std::snprintf(num, sizeof(num), "%.17g", value);
-    } else {
-      std::snprintf(num, sizeof(num), "null");
-    }
-    std::string row = "  {\"config\": \"";
-    row += config;
-    row += "\", \"seed\": ";
-    row += std::to_string(seed);
-    row += ", \"metric\": \"";
-    row += metric;
-    row += "\", \"value\": ";
-    row += num;
-    row += "}";
-    rows_.push_back(std::move(row));
-  }
-
-  /// Individual rows, for diff tooling that wants the first divergence
-  /// rather than a whole-file compare.
-  const std::vector<std::string>& rows() const { return rows_; }
-
-  std::string render() const {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      out += rows_[i];
-      out += i + 1 < rows_.size() ? ",\n" : "\n";
-    }
-    out += "]\n";
-    return out;
-  }
-
-  bool empty() const { return rows_.empty(); }
-
- private:
-  std::vector<std::string> rows_;
-};
 
 /// Seeds per measured point; override with ET_BENCH_SEEDS=n (smaller is
 /// faster, noisier).

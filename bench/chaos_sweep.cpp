@@ -37,6 +37,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "metrics/invariants.hpp"
+#include "metrics/json_rows.hpp"
 #include "metrics/recovery.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/tank.hpp"
@@ -164,10 +165,7 @@ PartitionPoint partition_run(std::uint64_t seed, Duration downtime) {
   point.checks = static_cast<double>(oracle.checks_run());
   point.tracked_fraction = result.tracking.tracked_fraction();
   point.takeovers = static_cast<double>(result.groups.takeovers);
-  for (std::size_t i = 0; i < scenario.system().node_count(); ++i) {
-    point.fenced += static_cast<double>(
-        scenario.system().stack(NodeId{i}).groups().stats().fenced);
-  }
+  point.fenced = static_cast<double>(result.groups.fenced);
   if (!oracle.ok()) {
     point.oracle_report = oracle.report();
     for (const metrics::InvariantViolation& violation : oracle.violations()) {
@@ -188,18 +186,6 @@ struct DeliveryPoint {
   double delivery_failures = 0.0;
 };
 
-/// Gilbert–Elliott channel at ~20% effective loss: pi_bad = 0.5/(2+0.5),
-/// effective = 0.8*0.2 + 0.05*0.8.
-radio::BurstLossConfig twenty_pct_loss() {
-  radio::BurstLossConfig ge;
-  ge.enabled = true;
-  ge.mean_good = Duration::seconds(2);
-  ge.mean_bad = Duration::millis(500);
-  ge.loss_good = 0.05;
-  ge.loss_bad = 0.8;
-  return ge;
-}
-
 /// One seeded run: a stationary "blob" entity on one side of a 5x12 grid
 /// invokes a port on a "station" context two hops away, every 250 ms for
 /// 40 s, through the burst-loss channel. Delivered fraction = method
@@ -212,7 +198,7 @@ DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
 
   core::SystemConfig config;
   config.radio.comm_radius = 6.0;
-  config.radio.burst_loss = twenty_pct_loss();
+  config.radio.burst_loss = twenty_pct_burst_loss();
   // Keep the channel a pure ~20% GE process: with comm radius 6 the whole
   // 5x12 grid is one collision domain, and the default collision model
   // would dominate the loss figure we are sweeping.
@@ -291,13 +277,9 @@ DeliveryPoint delivery_run(std::uint64_t seed, bool reliable) {
   // most steps and measure leader churn instead of transport delivery.
   const auto first_leader =
       [&system](core::TypeIndex type) -> std::optional<NodeId> {
-    for (std::size_t i = 0; i < system.node_count(); ++i) {
-      const NodeId id{i};
-      if (system.stack(id).groups().role(type) == core::Role::kLeader) {
-        return id;
-      }
-    }
-    return std::nullopt;
+    const std::vector<NodeId> leaders = system.leaders(type);
+    if (leaders.empty()) return std::nullopt;
+    return leaders.front();
   };
 
   int attempted = 0;
@@ -521,7 +503,7 @@ int main() {
   // Machine-readable per-seed rows; committed as BENCH_chaos.json so the
   // robustness trajectory survives repo re-anchors.
   if (const char* dir = std::getenv("ET_BENCH_JSON_DIR")) {
-    bench::JsonRows rows;
+    metrics::JsonRows rows;
     char config[64];
     for (std::size_t i = 0; i < kHbCount; ++i) {
       for (std::size_t s = 0; s < static_cast<std::size_t>(seeds); ++s) {

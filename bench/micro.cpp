@@ -17,6 +17,7 @@
 #include "metrics/trace.hpp"
 #include "etl/compiler.hpp"
 #include "etl/parser.hpp"
+#include "metrics/json_rows.hpp"
 #include "scenario/tank.hpp"
 #include "sim/simulator.hpp"
 
@@ -197,10 +198,10 @@ class RowReporter final : public benchmark::ConsoleReporter {
     }
   }
 
-  const et::bench::JsonRows& rows() const { return rows_; }
+  const et::metrics::JsonRows& rows() const { return rows_; }
 
  private:
-  et::bench::JsonRows rows_;
+  et::metrics::JsonRows rows_;
 };
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "metrics/json_rows.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/tank.hpp"
 #include "serve/ingest.hpp"
@@ -277,7 +278,7 @@ int main() {
   std::printf("\n  %7s | %9s %9s %9s | %11s %11s | %7s\n", "clients",
               "p50(us)", "p99(us)", "p999(us)", "queries/s", "ingest/s",
               "labels");
-  et::bench::JsonRows rows;
+  et::metrics::JsonRows rows;
   bool answers_ok = true;
   for (const int clients : kClientCounts) {
     const LoadResult r = run_load(feed, clients, seconds, bounds);

@@ -7,11 +7,14 @@
 #include "util/ids.hpp"
 #include "util/time.hpp"
 
-/// Group-management lifecycle events, published by every GroupManager.
+/// Protocol lifecycle events: group-management events, published by every
+/// GroupManager, and reliable-transport events, published by every
+/// Transport.
 ///
 /// The middleware itself does not need these; they exist for the metrics
-/// layer (coherence monitoring, handover accounting — Fig. 4) and for tests
-/// asserting protocol behaviour.
+/// layer (handover accounting — Fig. 4, recovery, the invariant oracle) and
+/// for tests asserting protocol behaviour. EnviroTrackSystem delivers them
+/// to the observers registered with it (see add_group_observer).
 namespace et::core {
 
 struct GroupEvent {
@@ -48,5 +51,36 @@ class GroupObserver {
 };
 
 const char* group_event_kind_name(GroupEvent::Kind kind);
+
+/// Reliability-layer lifecycle events, consumed by the invariant oracle
+/// and tests. `origin` + `dst_label` + `seq` identify one transfer.
+struct TransportEvent {
+  enum class Kind {
+    kSend,           // reliable transfer created at the origin
+    kRetransmit,     // origin re-sent after an ack timeout
+    kAcked,          // origin settled the transfer on an ack
+    kDelivered,      // receiver dispatched the invocation
+    kDuplicate,      // receiver suppressed an already-delivered transfer
+    kFailed,         // origin gave up (retry budget exhausted)
+    kResolveFailed,  // origin could not resolve the destination label
+  };
+
+  Kind kind;
+  Time time;
+  NodeId node;  // where the event happened
+  LabelId dst_label;
+  NodeId origin;
+  std::uint32_t seq = 0;
+  /// Retransmits performed so far on the transfer (0 on first send).
+  int attempt = 0;
+};
+
+class TransportObserver {
+ public:
+  virtual ~TransportObserver() = default;
+  virtual void on_transport_event(const TransportEvent& event) = 0;
+};
+
+const char* transport_event_kind_name(TransportEvent::Kind kind);
 
 }  // namespace et::core

@@ -241,10 +241,13 @@ AggregateStateTable* GroupManager::aggregates(TypeIndex type) {
 void GroupManager::emit(GroupEvent::Kind kind, TypeIndex type, LabelId label,
                         NodeId peer, std::uint64_t weight,
                         std::uint64_t epoch) {
-  if (deployment_.observers.empty()) return;
-  GroupEvent event{kind,  mote_.now(), mote_.id(), type,
-                   label, peer,        weight,     epoch};
-  for (GroupObserver* obs : deployment_.observers) obs->on_group_event(event);
+  const std::vector<GroupObserver*>& observers = deployment_.group_observers;
+  if (observers.empty()) return;
+  const GroupEvent event{kind,  mote_.now(), mote_.id(), type,
+                         label, peer,        weight,     epoch};
+  deployment_.master.post_op([&observers, n = observers.size(), event] {
+    for (std::size_t i = 0; i < n; ++i) observers[i]->on_group_event(event);
+  });
 }
 
 bool GroupManager::is_sensing(TypeIndex type, Role role) const {

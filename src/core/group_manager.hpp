@@ -106,17 +106,24 @@ struct GroupTypeProfile {
 std::vector<GroupTypeProfile> resolve_group_types(
     const std::vector<ContextTypeSpec>& specs, const SenseRegistry& senses);
 
-/// What every group manager of a deployment shares. EnviroTrackSystem owns
-/// one, and everything it refers to, for as long as its stacks live.
+/// What every group manager (and transport) of a deployment shares.
+/// EnviroTrackSystem owns one, and everything it refers to, for as long as
+/// its stacks live.
 struct GroupDeployment {
   const std::vector<ContextTypeSpec>& specs;
   /// resolve_group_types of `specs`.
   const std::vector<GroupTypeProfile>& types;
   const AggregationRegistry& aggregations;
   const GroupConfig& config;
-  /// Every group event goes to each of these, as the list stands when the
-  /// event is emitted.
-  const std::vector<GroupObserver*>& observers;
+  /// The engine that journals protocol events: each event is one op
+  /// posted here (sim::Simulator::post_op), so observers run on the master
+  /// thread in canonical order even when the emitting mote runs on a tile.
+  sim::Simulator& master;
+  /// The observers of every group event and every transport event, in
+  /// registration order. An event goes to the observers registered when it
+  /// is emitted.
+  const std::vector<GroupObserver*>& group_observers;
+  const std::vector<TransportObserver*>& transport_observers;
 };
 
 /// Receives a group manager's leadership edges and leader observations.
@@ -267,6 +274,7 @@ class GroupManager {
   /// heartbeats for estimate-gated label identity.
   Vec2 entity_estimate(TypeIndex type) const;
   const GroupConfig& config() const { return deployment_.config; }
+  const GroupDeployment& deployment() const { return deployment_; }
   /// Zero on a mote that never heard a group frame nor was engaged.
   const GroupStats& stats() const;
   /// True once this manager has heard a group frame or been engaged
@@ -415,6 +423,8 @@ class GroupManager {
   void handle_report(const radio::Frame& frame);
   void handle_relinquish(const radio::Frame& frame);
 
+  /// Journals one event to the deployment's group observers: one op on
+  /// the master engine, whatever the number of observers.
   void emit(GroupEvent::Kind kind, TypeIndex type, LabelId label, NodeId peer,
             std::uint64_t weight, std::uint64_t epoch);
 

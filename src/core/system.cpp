@@ -5,27 +5,6 @@
 
 namespace et::core {
 
-namespace {
-
-/// Re-emits group events through the master simulator's op path so the real
-/// observer runs on the master thread, in canonical key order — the same
-/// order on the serial and the parallel kernel.
-class JournaledObserver final : public GroupObserver {
- public:
-  JournaledObserver(sim::Simulator& sim, GroupObserver* target)
-      : sim_(sim), target_(target) {}
-
-  void on_group_event(const GroupEvent& event) override {
-    sim_.post_op([target = target_, event] { target->on_group_event(event); });
-  }
-
- private:
-  sim::Simulator& sim_;
-  GroupObserver* target_;
-};
-
-}  // namespace
-
 EnviroTrackSystem::EnviroTrackSystem(sim::Simulator& sim,
                                      env::Environment& env,
                                      const env::Field& field,
@@ -117,23 +96,23 @@ std::size_t EnviroTrackSystem::run_until(Time deadline) {
 
 void EnviroTrackSystem::add_group_observer(GroupObserver* observer) {
   assert(started_);
-  journaled_observers_.push_back(
-      std::make_unique<JournaledObserver>(sim_, observer));
-  group_observers_.push_back(journaled_observers_.back().get());
+  group_observers_.push_back(observer);
 }
 
-void EnviroTrackSystem::add_transport_listener(TransportListener fn) {
+void EnviroTrackSystem::add_transport_observer(TransportObserver* observer) {
   assert(started_);
-  auto shared = std::make_shared<TransportListener>(std::move(fn));
-  transport_listeners_.push_back(shared);
+  transport_observers_.push_back(observer);
+}
+
+std::vector<NodeId> EnviroTrackSystem::leaders(TypeIndex type) const {
+  std::vector<NodeId> out;
+  if (type >= specs_.size()) return out;
   for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    Transport* transport = stacks_[i]->transport();
-    if (!transport) continue;
-    const NodeId id{i};
-    transport->add_listener([this, shared, id](const TransportEvent& event) {
-      sim_.post_op([shared, id, event] { (*shared)(id, event); });
-    });
+    if (stacks_[i]->groups().role(type) == Role::kLeader) {
+      out.push_back(NodeId{i});
+    }
   }
+  return out;
 }
 
 void EnviroTrackSystem::crash_node(NodeId id) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,16 +73,23 @@ class EnviroTrackSystem {
   std::size_t node_count() const { return network_.size(); }
 
   /// Subscribes `observer` to group events on every mote (metrics layer).
-  /// Must be called after start(). The events are journaled through the
-  /// master simulator as channel ops, so observers run single-threaded, in
-  /// canonical event order and just after the emitting event, even when the
-  /// emitting motes execute on tile threads.
+  /// Must be called after start(). Each event is journaled through the
+  /// master simulator as one channel op that calls every observer
+  /// registered when the event was emitted, in registration order. So
+  /// observers run single-threaded, in canonical event order and just after
+  /// the emitting event, even when the emitting motes execute on tile
+  /// threads.
   void add_group_observer(GroupObserver* observer);
 
-  /// Subscribes to transport events on every mote that runs a transport,
-  /// journaled exactly like group events. `fn` receives the reporting node.
-  using TransportListener = std::function<void(NodeId, const TransportEvent&)>;
-  void add_transport_listener(TransportListener fn);
+  /// Subscribes `observer` to transport events on every mote that runs a
+  /// transport, journaled exactly like group events. Must be called after
+  /// start().
+  void add_transport_observer(TransportObserver* observer);
+
+  /// Nodes whose group manager currently leads `type`, in ascending id
+  /// order; empty for a type that was never declared. A crashed node leads
+  /// nothing: its group manager drops every role on crash.
+  std::vector<NodeId> leaders(TypeIndex type) const;
 
   /// Failure injection: crash-stops one node.
   void crash_node(NodeId id);
@@ -108,17 +114,19 @@ class EnviroTrackSystem {
   std::vector<ContextTypeSpec> specs_;
   /// `specs_` resolved once for every group manager (set by start()).
   std::vector<GroupTypeProfile> group_types_;
-  /// Journaling proxies, one per add_group_observer().
-  std::vector<std::unique_ptr<GroupObserver>> journaled_observers_;
-  /// The proxies again, as the one observer list every group manager reads.
+  /// The deployment's observers, in registration order: the one list of
+  /// each kind that every group manager and transport reads.
   std::vector<GroupObserver*> group_observers_;
-  /// What every group manager refers to.
-  GroupDeployment group_deployment_{specs_, group_types_, aggregations_,
+  std::vector<TransportObserver*> transport_observers_;
+  /// What every group manager and transport refers to.
+  GroupDeployment group_deployment_{specs_,
+                                    group_types_,
+                                    aggregations_,
                                     config_.middleware.group,
-                                    group_observers_};
+                                    sim_,
+                                    group_observers_,
+                                    transport_observers_};
   std::vector<std::unique_ptr<MiddlewareStack>> stacks_;
-  /// Shared listener fan-in targets (kept alive for the stacks' lambdas).
-  std::vector<std::shared_ptr<TransportListener>> transport_listeners_;
   bool started_ = false;
 };
 

@@ -74,10 +74,17 @@ Transport::Transport(node::Mote& mote, net::GeoRouting& routing,
 
 void Transport::emit(TransportEvent::Kind kind, LabelId dst_label,
                      NodeId origin, std::uint32_t seq, int attempt) {
-  if (listeners_.empty()) return;
-  TransportEvent event{kind,   mote_.now(), mote_.id(), dst_label,
-                       origin, seq,         attempt};
-  for (const Listener& fn : listeners_) fn(event);
+  const GroupDeployment& deployment = groups_.deployment();
+  const std::vector<TransportObserver*>& observers =
+      deployment.transport_observers;
+  if (observers.empty()) return;
+  const TransportEvent event{kind,   mote_.now(), mote_.id(), dst_label,
+                             origin, seq,         attempt};
+  deployment.master.post_op([&observers, n = observers.size(), event] {
+    for (std::size_t i = 0; i < n; ++i) {
+      observers[i]->on_transport_event(event);
+    }
+  });
 }
 
 void Transport::on_leader_observed(TypeIndex type, LabelId label,

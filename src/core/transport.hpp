@@ -57,31 +57,6 @@ struct TransportStats {
   std::uint64_t resolve_failed = 0;
 };
 
-/// Reliability-layer lifecycle events, consumed by the invariant oracle
-/// and tests. `origin` + `dst_label` + `seq` identify one transfer.
-struct TransportEvent {
-  enum class Kind {
-    kSend,           // reliable transfer created at the origin
-    kRetransmit,     // origin re-sent after an ack timeout
-    kAcked,          // origin settled the transfer on an ack
-    kDelivered,      // receiver dispatched the invocation
-    kDuplicate,      // receiver suppressed an already-delivered transfer
-    kFailed,         // origin gave up (retry budget exhausted)
-    kResolveFailed,  // origin could not resolve the destination label
-  };
-
-  Kind kind;
-  Time time;
-  NodeId node;  // where the event happened
-  LabelId dst_label;
-  NodeId origin;
-  std::uint32_t seq = 0;
-  /// Retransmits performed so far on the transfer (0 on first send).
-  int attempt = 0;
-};
-
-const char* transport_event_kind_name(TransportEvent::Kind kind);
-
 /// MTP invocation message (inner payload of kMtpData envelopes).
 class MtpPayload final : public radio::Payload {
  public:
@@ -138,7 +113,6 @@ class Transport {
   /// immediately unresolvable.
   using DeliveryFailedFn = std::function<void(
       TypeIndex, LabelId dst_label, PortId, const std::vector<double>& args)>;
-  using Listener = std::function<void(const TransportEvent&)>;
 
   /// Retransmissions after the initial send before the transfer fails.
   static constexpr int kMaxRetries = 4;
@@ -188,7 +162,6 @@ class Transport {
   void set_delivery_failed(DeliveryFailedFn fn) {
     delivery_failed_ = std::move(fn);
   }
-  void add_listener(Listener fn) { listeners_.push_back(std::move(fn)); }
 
   /// Last-known leader of a label, if cached.
   struct LeaderInfo {
@@ -243,6 +216,8 @@ class Transport {
   /// silent drop either way.
   void abort_unresolvable(const MtpPayload& payload);
   void note_resolve_failure(LabelId label);
+  /// Journals one event to the deployment's transport observers, as
+  /// GroupManager journals group events.
   void emit(TransportEvent::Kind kind, LabelId dst_label, NodeId origin,
             std::uint32_t seq, int attempt);
 
@@ -267,7 +242,6 @@ class Transport {
   /// Negative cache: label -> expiry of its "unresolvable" verdict.
   LruMap<LabelId, Time> resolve_failed_until_;
   DeliveryFailedFn delivery_failed_;
-  std::vector<Listener> listeners_;
   TransportStats stats_;
 };
 

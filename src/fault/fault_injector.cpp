@@ -103,13 +103,10 @@ Expected<std::size_t> FaultInjector::harass_leaders(core::TypeIndex type,
 NodeId FaultInjector::find_leader(core::TypeIndex type) const {
   NodeId best;
   std::uint64_t best_weight = 0;
-  for (std::size_t i = 0; i < system_.node_count(); ++i) {
-    const NodeId id{i};
-    core::GroupManager& groups = system_.stack(id).groups();
-    if (type >= groups.type_count()) continue;
-    if (groups.role(type) != core::Role::kLeader) continue;
-    const std::uint64_t weight = groups.leader_weight(type);
-    // Heaviest leader first; ascending scan order makes ties go to the
+  for (const NodeId id : system_.leaders(type)) {
+    const std::uint64_t weight =
+        system_.stack(id).groups().leader_weight(type);
+    // Heaviest leader first; ascending id order makes ties go to the
     // lowest id, keeping the pick deterministic.
     if (!best.is_valid() || weight > best_weight) {
       best = id;

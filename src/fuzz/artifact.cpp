@@ -9,17 +9,6 @@ namespace {
 
 constexpr const char* kFormatTag = "et-chaos-repro-v1";
 
-/// ~20% effective Gilbert–Elliott loss (matches bench/chaos_sweep.cpp).
-radio::BurstLossConfig twenty_pct_burst_loss() {
-  radio::BurstLossConfig ge;
-  ge.enabled = true;
-  ge.mean_good = Duration::seconds(2);
-  ge.mean_bad = Duration::millis(500);
-  ge.loss_good = 0.05;
-  ge.loss_bad = 0.8;
-  return ge;
-}
-
 Expected<FuzzScenario> scenario_fail(std::string message) {
   return Expected<FuzzScenario>::failure("chaos_artifact", std::move(message));
 }
@@ -57,7 +46,7 @@ scenario::TankScenarioParams FuzzScenario::to_params(
   params.track_y = track_y;
   params.group.heartbeat_period = heartbeat_period;
   params.duty_cycle_awake_fraction = duty_cycle_awake_fraction;
-  if (ge_loss) params.radio.burst_loss = twenty_pct_burst_loss();
+  if (ge_loss) params.radio.burst_loss = scenario::twenty_pct_burst_loss();
   params.enable_transport = reliable_transport;
   // The fence path (and therefore the epoch invariants under partitions)
   // needs the directory rendezvous.

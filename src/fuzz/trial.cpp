@@ -5,9 +5,9 @@
 #include <map>
 #include <vector>
 
-#include "bench/bench_util.hpp"
 #include "fault/fault_injector.hpp"
 #include "metrics/invariants.hpp"
+#include "metrics/json_rows.hpp"
 #include "serve/ingest.hpp"
 #include "serve/track_store.hpp"
 
@@ -117,7 +117,7 @@ std::string build_digest(const scenario::TankRunResult& result,
                          const serve::ShardedTrackStore& store,
                          const sim::WatchdogReport& watchdog,
                          std::uint64_t seed) {
-  bench::JsonRows rows;
+  metrics::JsonRows rows;
   const std::string config = "trial";
   const auto add = [&](const std::string& metric, double value) {
     rows.add_exact(config, seed, metric, value);

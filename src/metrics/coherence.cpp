@@ -35,19 +35,16 @@ void CoherenceMonitor::sample() {
 
   // Associate every live leader with the nearest physical target of its
   // context type that its mote actually senses.
-  for (std::size_t n = 0; n < system_.node_count(); ++n) {
-    const NodeId node{n};
-    auto& groups = system_.stack(node).groups();
-    if (!groups.alive()) continue;
-    const Vec2 pos = system_.network().mote(node).position();
-    for (std::size_t t = 0; t < specs.size(); ++t) {
-      const auto type = static_cast<core::TypeIndex>(t);
-      if (groups.role(type) != core::Role::kLeader) continue;
-
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto type = static_cast<core::TypeIndex>(t);
+    const std::vector<TargetId> targets =
+        system_.environment().active_targets_of(specs[t].name, now);
+    for (const NodeId node : system_.leaders(type)) {
+      const core::GroupManager& groups = system_.stack(node).groups();
+      const Vec2 pos = system_.network().mote(node).position();
       std::optional<TargetId> best;
       double best_d = std::numeric_limits<double>::max();
-      for (TargetId tid :
-           system_.environment().active_targets_of(specs[t].name, now)) {
+      for (TargetId tid : targets) {
         const env::Target& target = system_.environment().target(tid);
         const double d = distance(pos, target.position_at(now));
         if (d <= target.radius_at(now) && d < best_d) {

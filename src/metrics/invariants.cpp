@@ -56,13 +56,7 @@ InvariantOracle::InvariantOracle(core::EnviroTrackSystem& system,
                                  InvariantConfig config)
     : system_(system), config_(config) {
   system_.add_group_observer(this);
-  // Routed through the system so transport events are journaled into
-  // canonical order (and onto the master thread under the parallel kernel),
-  // exactly like group events.
-  system_.add_transport_listener(
-      [this](NodeId node, const core::TransportEvent& event) {
-        on_transport_event(node, event);
-      });
+  system_.add_transport_observer(this);
   scan_timer_ = system_.sim().schedule_periodic(
       kCheckPeriod, kCheckPeriod, [this] { scan_leaders(); });
 }
@@ -127,8 +121,8 @@ void InvariantOracle::on_group_event(const core::GroupEvent& event) {
   }
 }
 
-void InvariantOracle::on_transport_event(NodeId node,
-                                         const core::TransportEvent& event) {
+void InvariantOracle::on_transport_event(const core::TransportEvent& event) {
+  const NodeId node = event.node;
   std::string line = event.time.to_string();
   line += " node ";
   line += std::to_string(node.value());
@@ -196,13 +190,11 @@ void InvariantOracle::scan_leaders() {
   std::map<std::pair<core::TypeIndex, std::uint64_t>,
            std::vector<NodeId>>
       leaders;
-  for (std::size_t i = 0; i < system_.node_count(); ++i) {
-    const NodeId node{i};
-    core::GroupManager& groups = system_.stack(node).groups();
-    for (std::size_t t = 0; t < groups.type_count(); ++t) {
-      const auto type = static_cast<core::TypeIndex>(t);
-      if (groups.role(type) != core::Role::kLeader) continue;
-      leaders[{type, groups.current_label(type).value()}].push_back(node);
+  for (std::size_t t = 0; t < system_.specs().size(); ++t) {
+    const auto type = static_cast<core::TypeIndex>(t);
+    for (const NodeId node : system_.leaders(type)) {
+      const LabelId label = system_.stack(node).groups().current_label(type);
+      leaders[{type, label.value()}].push_back(node);
     }
   }
 

@@ -65,18 +65,18 @@ struct InvariantViolation {
 
 const char* invariant_kind_name(InvariantViolation::Kind kind);
 
-class InvariantOracle final : public core::GroupObserver {
+class InvariantOracle final : public core::GroupObserver,
+                              public core::TransportObserver {
  public:
-  /// Attaches to a *started* system: subscribes to group events on every
-  /// mote, to transport events on every stack that has a transport, and
-  /// arms the periodic leadership scan.
+  /// Attaches to a *started* system: subscribes to its group and transport
+  /// events and arms the periodic leadership scan.
   InvariantOracle(core::EnviroTrackSystem& system, InvariantConfig config = {});
 
   InvariantOracle(const InvariantOracle&) = delete;
   InvariantOracle& operator=(const InvariantOracle&) = delete;
 
   void on_group_event(const core::GroupEvent& event) override;
-  void on_transport_event(NodeId node, const core::TransportEvent& event);
+  void on_transport_event(const core::TransportEvent& event) override;
 
   bool ok() const { return violations_.empty(); }
   const std::vector<InvariantViolation>& violations() const {

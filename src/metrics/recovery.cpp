@@ -67,25 +67,20 @@ void RecoveryMonitor::sample() {
   bool all_covered = true;
   for (std::size_t t = 0; t < specs.size(); ++t) {
     const auto type = static_cast<core::TypeIndex>(t);
-    for (TargetId tid :
-         system_.environment().active_targets_of(specs[t].name, now)) {
-      any_exposed = true;
+    const std::vector<TargetId> targets =
+        system_.environment().active_targets_of(specs[t].name, now);
+    if (targets.empty()) continue;
+    any_exposed = true;
+    const std::vector<NodeId> leaders = system_.leaders(type);
+    for (TargetId tid : targets) {
       const env::Target& target = system_.environment().target(tid);
       const Vec2 target_pos = target.position_at(now);
       const double radius = target.radius_at(now);
-      bool covered = false;
-      for (std::size_t n = 0; n < system_.node_count(); ++n) {
-        const NodeId node{n};
-        auto& groups = system_.stack(node).groups();
-        if (!groups.alive() || groups.role(type) != core::Role::kLeader) {
-          continue;
-        }
-        const Vec2 pos = system_.network().mote(node).position();
-        if (distance(pos, target_pos) <= radius) {
-          covered = true;
-          break;
-        }
-      }
+      const bool covered =
+          std::any_of(leaders.begin(), leaders.end(), [&](NodeId node) {
+            const Vec2 pos = system_.network().mote(node).position();
+            return distance(pos, target_pos) <= radius;
+          });
       if (!covered) all_covered = false;
     }
   }

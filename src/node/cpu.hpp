@@ -37,6 +37,15 @@ class Cpu {
     std::uint64_t executed = 0;
     std::uint64_t dropped = 0;  // queue overflow
     Duration busy = Duration::zero();
+
+    /// Adds every counter of `other` (sums over motes).
+    Stats& operator+=(const Stats& other) {
+      posted += other.posted;
+      executed += other.executed;
+      dropped += other.dropped;
+      busy += other.busy;
+      return *this;
+    }
   };
 
   /// `config` is deployment-wide and must outlive the CPU; a temporary

@@ -30,14 +30,6 @@ void Mote::unicast(NodeId dst, radio::MsgType type,
   medium_.send(radio::Frame{id_, dst, type, std::move(payload)});
 }
 
-void Mote::set_handler(radio::MsgType type, FrameHandler handler) {
-  owned_handlers_.push_front(std::move(handler));
-  add_handler(type, Binding{&owned_handlers_.front(),
-                            [](void* context, const radio::Frame& frame) {
-                              (*static_cast<FrameHandler*>(context))(frame);
-                            }});
-}
-
 void Mote::add_handler(radio::MsgType type, Binding binding) {
   std::uint8_t& slot = handler_slot_[static_cast<std::size_t>(type)];
   assert(slot == 0 && "each message type has exactly one owning service");

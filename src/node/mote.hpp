@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <forward_list>
 #include <functional>
 #include <string_view>
 
@@ -26,7 +25,6 @@ namespace et::node {
 
 class Mote {
  public:
-  using FrameHandler = std::function<void(const radio::Frame&)>;
   /// Most handlers a mote can register: one per message type owned by a
   /// service in src/ (group management 3, routing 2, directory 1), plus two
   /// for applications.
@@ -99,9 +97,6 @@ class Mote {
                 }});
   }
 
-  /// Registers any callable for one message type; the mote owns it.
-  void set_handler(radio::MsgType type, FrameHandler handler);
-
   // --- Timers (all handler executions go through the CPU model) ---
 
   /// Runs `fn` as a timer task after `delay`.
@@ -147,9 +142,6 @@ class Mote {
   std::array<std::uint8_t, radio::kMsgTypeCount> handler_slot_{};
   std::uint8_t handler_count_ = 0;
   std::array<Binding, kMaxHandlers> handlers_{};
-  /// Callables registered through the FrameHandler overload; a node keeps
-  /// its address, which the binding points at.
-  std::forward_list<FrameHandler> owned_handlers_;
 };
 
 }  // namespace et::node

@@ -1,5 +1,7 @@
 #include "scenario/fire.hpp"
 
+#include <algorithm>
+
 namespace et::scenario {
 
 FireScenario::FireScenario(const FireScenarioParams& params)
@@ -10,9 +12,11 @@ FireScenario::FireScenario(const FireScenarioParams& params)
   core::SystemConfig config;
   config.radio = params.radio;
   config.middleware.group = params.group;
-  // Fires grow to ~2.5 units; scale the identity radii accordingly.
-  config.middleware.group.suppression_radius = 4.0;
-  config.middleware.group.wait_radius = 4.0;
+  // Fires grow to ~2.5 units, so the identity radii are at least 4.0.
+  config.middleware.group.suppression_radius =
+      std::max(params.group.suppression_radius, 4.0);
+  config.middleware.group.wait_radius =
+      std::max(params.group.wait_radius, 4.0);
   config.middleware.enable_directory = true;
   config.middleware.enable_transport = true;
   config.kernel = params.kernel;

@@ -48,6 +48,16 @@ core::ContextTypeSpec make_tracker_spec(const TankScenarioParams& params) {
 
 }  // namespace
 
+radio::BurstLossConfig twenty_pct_burst_loss() {
+  radio::BurstLossConfig ge;
+  ge.enabled = true;
+  ge.mean_good = Duration::seconds(2);
+  ge.mean_bad = Duration::millis(500);
+  ge.loss_good = 0.05;
+  ge.loss_bad = 0.8;
+  return ge;
+}
+
 TankScenario::TankScenario(const TankScenarioParams& params)
     : params_(params),
       sim_(params.seed),
@@ -127,12 +137,7 @@ TankRunResult TankScenario::result() const {
   }
   for (std::size_t i = 0; i < system_->node_count(); ++i) {
     result.groups += system_->stack(NodeId{i}).groups().stats();
-
-    const auto& cs = system_->network().mote(NodeId{i}).cpu().stats();
-    result.cpu.posted += cs.posted;
-    result.cpu.executed += cs.executed;
-    result.cpu.dropped += cs.dropped;
-    result.cpu.busy += cs.busy;
+    result.cpu += system_->network().mote(NodeId{i}).cpu().stats();
   }
   result.speed_hops_per_s = params_.speed_hops_per_s;
   return result;

@@ -21,6 +21,11 @@
 /// statistics.
 namespace et::scenario {
 
+/// Gilbert–Elliott channel at ~20% effective loss: pi_bad = 0.5/(2+0.5),
+/// effective = 0.8*0.2 + 0.05*0.8. The chaos sweep's transport runs and
+/// the fuzzer's burst-loss scenarios use it.
+radio::BurstLossConfig twenty_pct_burst_loss();
+
 struct TankScenarioParams {
   // Deployment.
   std::size_t rows = 3;

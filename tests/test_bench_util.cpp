@@ -5,6 +5,7 @@
 #include <string>
 
 #include "bench/bench_util.hpp"
+#include "metrics/json_rows.hpp"
 
 /// The BENCH_*.json row writer. These files are the durable perf record
 /// (they survive repo re-anchors), so malformed rows are silent data loss.
@@ -17,7 +18,7 @@ TEST(JsonRows, LongConfigNamesAreNeverTruncated) {
   // + fault plan + knobs) was silently truncated — the row lost its
   // closing brace and the whole BENCH file stopped parsing.
   const std::string config(300, 'k');
-  bench::JsonRows rows;
+  metrics::JsonRows rows;
   rows.add(config, 7, "qps", 123456.0);
 
   const std::string out = rows.render();
@@ -36,7 +37,7 @@ TEST(JsonRows, NonFiniteValuesRenderAsNull) {
   // JSON has no NaN/Inf literal; a NaN metric (e.g. mean_error of a run
   // with zero reports) must render as null, not as the literal "nan"
   // (which breaks every JSON parser downstream).
-  bench::JsonRows rows;
+  metrics::JsonRows rows;
   rows.add("empty-track", 1, "mean_error",
            std::numeric_limits<double>::quiet_NaN());
   rows.add("overflow", 1, "ratio",
@@ -55,7 +56,7 @@ TEST(JsonRows, NonFiniteValuesRenderAsNull) {
 }
 
 TEST(JsonRows, RowsRenderInInsertionOrderWithCommas) {
-  bench::JsonRows rows;
+  metrics::JsonRows rows;
   EXPECT_TRUE(rows.empty());
   rows.add("a", 1, "m", 1.0);
   rows.add("b", 2, "m", 2.0);

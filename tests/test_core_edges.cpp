@@ -186,15 +186,7 @@ TEST(CoreEdges, DslDeactivationKeepsGroupAliveEndToEnd) {
   const TargetId id = environment.add_target(std::move(strong));
   sim.run_for(Duration::seconds(4));
 
-  auto leaders = [&] {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < system.node_count(); ++i) {
-      if (system.stack(NodeId{i}).groups().role(0) == core::Role::kLeader) {
-        ++n;
-      }
-    }
-    return n;
-  };
+  auto leaders = [&] { return system.leaders(0).size(); };
   ASSERT_GE(leaders(), 1u);
 
   // Replace with a weak source (reading ~2): below activation, above

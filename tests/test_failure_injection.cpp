@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -451,6 +453,60 @@ TEST(FailureInjection, HarassedTankUnderBurstLossKeepsTracking) {
   EXPECT_GT(result.tracking.tracked_fraction(), 0.5);
   EXPECT_LT(recovery.mean_takeover_seconds(), 2.0)
       << "takeover latency is bounded by the 2.1 x HB receive timer";
+}
+
+TEST(FailureInjection, LeadersMatchARoleScanThroughHarassment) {
+  // EnviroTrackSystem::leaders() is where the metrics layer and the fault
+  // injector ask who leads. Sampled every 100 ms through a harassed run,
+  // it must equal a per-node role() scan and never list a crashed leader.
+  scenario::TankScenarioParams params;
+  params.rows = 3;
+  params.cols = 12;
+  params.speed_hops_per_s = 1.0;
+  params.group.heartbeat_period = Duration::seconds(0.25);
+  params.radio.burst_loss.enabled = true;
+  params.seed = 11;
+  scenario::TankScenario scenario(params);
+  core::EnviroTrackSystem& system = scenario.system();
+  const core::TypeIndex type = scenario.tracker_type();
+  fault::FaultInjector injector(system);
+  std::set<std::uint64_t> down_leaders;  // crashed while leading, not back
+  injector.add_listener([&](const fault::FaultRecord& record) {
+    if (record.kind == fault::FaultKind::kCrash && record.was_leader) {
+      down_leaders.insert(record.node.value());
+    } else if (record.kind == fault::FaultKind::kReboot) {
+      down_leaders.erase(record.node.value());
+    }
+  });
+  injector.harass_leaders(type, Duration::seconds(3), Duration::seconds(1));
+
+  std::size_t led_samples = 0;
+  std::size_t down_samples = 0;
+  system.sim().schedule_periodic(
+      Duration::millis(100), Duration::millis(100), [&] {
+        std::vector<NodeId> scan;
+        for (std::size_t i = 0; i < system.node_count(); ++i) {
+          if (system.stack(NodeId{i}).groups().role(type) ==
+              core::Role::kLeader) {
+            scan.push_back(NodeId{i});
+          }
+        }
+        const std::vector<NodeId> leaders = system.leaders(type);
+        EXPECT_EQ(leaders, scan) << "at " << system.sim().now().to_string();
+        for (const NodeId id : leaders) {
+          EXPECT_EQ(down_leaders.count(id.value()), 0u)
+              << "crashed leader " << id.value() << " listed at "
+              << system.sim().now().to_string();
+        }
+        if (!leaders.empty()) ++led_samples;
+        if (!down_leaders.empty()) ++down_samples;
+      });
+  scenario.run();
+
+  EXPECT_GE(injector.stats().leader_crashes, 2u);
+  EXPECT_GT(led_samples, 0u);
+  EXPECT_GT(down_samples, 0u)
+      << "some samples must fall inside a crashed leader's downtime";
 }
 
 TEST(FailureInjection, ConcurrentLeaderCrashesPairTakeoversByLabel) {

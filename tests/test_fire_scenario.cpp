@@ -23,6 +23,24 @@ TEST(FireScenario, SingleFireRaisesOneAlarm) {
   EXPECT_NEAR(alarm.seat.y, 7.0, 1.5);
 }
 
+TEST(FireScenario, CallerIdentityRadiiAboveTheFireFloorAreKept) {
+  // Fires grow to ~2.5 units, so the scenario raises both identity radii
+  // to at least 4.0; a caller asking for more keeps its value.
+  FireScenarioParams params;
+  params.group.suppression_radius = 6.0;
+  params.group.wait_radius = 6.0;
+  FireScenario wide(params);
+  const core::GroupConfig& group = wide.system().config().middleware.group;
+  EXPECT_EQ(group.suppression_radius, 6.0);
+  EXPECT_EQ(group.wait_radius, 6.0);
+
+  FireScenario defaults(FireScenarioParams{});
+  const core::GroupConfig& floor =
+      defaults.system().config().middleware.group;
+  EXPECT_EQ(floor.suppression_radius, 4.0);
+  EXPECT_EQ(floor.wait_radius, 4.0);
+}
+
 TEST(FireScenario, GrowingFireGrowsItsGroup) {
   FireScenarioParams params;
   params.seed = 5;
@@ -99,12 +117,9 @@ TEST(FireScenario, ReignitionMintsAFreshLabel) {
   FireScenario world(params);
 
   auto current_label = [&]() -> std::optional<LabelId> {
-    for (std::size_t i = 0; i < world.system().node_count(); ++i) {
-      auto& groups = world.system().stack(NodeId{i}).groups();
-      if (groups.role(0) == core::Role::kLeader &&
-          groups.leader_weight(0) > 0) {
-        return groups.current_label(0);
-      }
+    for (const NodeId id : world.system().leaders(0)) {
+      auto& groups = world.system().stack(id).groups();
+      if (groups.leader_weight(0) > 0) return groups.current_label(0);
     }
     return std::nullopt;
   };

@@ -148,7 +148,7 @@ void expect_budget(const Footprint& footprint,
 
 TEST(IdleMoteMemory, SerialKernel) {
   const Footprint footprint = measure({});
-  expect_budget(footprint, 850.5);
+  expect_budget(footprint, 826.5);
   // The target this layout was built for.
   EXPECT_LE(footprint.bytes_per_mote, 1000.0);
 }
@@ -157,7 +157,7 @@ TEST(IdleMoteMemory, ParallelKernel) {
   sim::KernelConfig kernel;
   kernel.use_parallel_kernel = true;
   kernel.threads = 3;
-  expect_budget(measure(kernel), 798.2);
+  expect_budget(measure(kernel), 774.2);
 }
 
 /// Runs the tank field for 20 simulated seconds and checks that active

@@ -64,9 +64,9 @@ TEST(Invariants, DuplicateDeliveryFlagged) {
 
   const TransportEvent event =
       delivered(world, NodeId{3}, label, NodeId{1}, 7);
-  oracle.on_transport_event(NodeId{3}, event);
+  oracle.on_transport_event(event);
   EXPECT_TRUE(oracle.ok()) << "first delivery is legal";
-  oracle.on_transport_event(NodeId{3}, event);
+  oracle.on_transport_event(event);
 
   ASSERT_FALSE(oracle.ok());
   ASSERT_EQ(oracle.violations().size(), 1u);
@@ -85,12 +85,9 @@ TEST(Invariants, DistinctReceiversAndSequencesAreLegal) {
 
   // Same transfer on two receivers (leadership migrated mid-flight) and
   // two sequences on one receiver: both at-least-once outcomes, not bugs.
-  oracle.on_transport_event(
-      NodeId{3}, delivered(world, NodeId{3}, label, NodeId{1}, 7));
-  oracle.on_transport_event(
-      NodeId{4}, delivered(world, NodeId{4}, label, NodeId{1}, 7));
-  oracle.on_transport_event(
-      NodeId{3}, delivered(world, NodeId{3}, label, NodeId{1}, 8));
+  oracle.on_transport_event(delivered(world, NodeId{3}, label, NodeId{1}, 7));
+  oracle.on_transport_event(delivered(world, NodeId{4}, label, NodeId{1}, 7));
+  oracle.on_transport_event(delivered(world, NodeId{3}, label, NodeId{1}, 8));
   EXPECT_TRUE(oracle.ok()) << oracle.report();
 }
 
@@ -103,8 +100,8 @@ TEST(Invariants, FireAndForgetDeliveriesNotDeduped) {
   // indistinguishable sends must not be flagged.
   const TransportEvent event =
       delivered(world, NodeId{3}, label, NodeId{1}, 0);
-  oracle.on_transport_event(NodeId{3}, event);
-  oracle.on_transport_event(NodeId{3}, event);
+  oracle.on_transport_event(event);
+  oracle.on_transport_event(event);
   EXPECT_TRUE(oracle.ok()) << oracle.report();
 }
 
@@ -121,11 +118,11 @@ TEST(Invariants, RetryBudgetOverrunFlagged) {
                        NodeId{0},
                        5,
                        budget};
-  oracle.on_transport_event(NodeId{0}, event);
+  oracle.on_transport_event(event);
   EXPECT_TRUE(oracle.ok()) << "the budget itself is legal";
 
   event.attempt = budget + 1;
-  oracle.on_transport_event(NodeId{0}, event);
+  oracle.on_transport_event(event);
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.violations().front().kind,
             InvariantViolation::Kind::kRetryBudgetExceeded);

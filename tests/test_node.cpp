@@ -15,6 +15,17 @@ class JunkPayload final : public radio::Payload {
   std::size_t size_bytes() const override { return 8; }
 };
 
+/// A service that counts the frames of one message type a mote hands it,
+/// registered the way every service in src/ registers its handlers.
+struct FrameCounter {
+  int frames = 0;
+
+  void listen(Mote& mote, radio::MsgType type) {
+    mote.set_handler<&FrameCounter::on_frame>(type, this);
+  }
+  void on_frame(const radio::Frame&) { ++frames; }
+};
+
 struct NodeTest : public ::testing::Test {
   NodeTest()
       : sim(7),
@@ -120,21 +131,18 @@ TEST_F(NodeTest, MoteSensesEnvironment) {
 
 TEST_F(NodeTest, FrameDispatchByType) {
   MoteNetwork network(sim, medium, env, field);
-  int heartbeats = 0;
-  int reports = 0;
-  network.mote(NodeId{1}).set_handler(
-      radio::MsgType::kHeartbeat,
-      [&](const radio::Frame&) { ++heartbeats; });
-  network.mote(NodeId{1}).set_handler(
-      radio::MsgType::kReport, [&](const radio::Frame&) { ++reports; });
+  FrameCounter heartbeats;
+  FrameCounter reports;
+  heartbeats.listen(network.mote(NodeId{1}), radio::MsgType::kHeartbeat);
+  reports.listen(network.mote(NodeId{1}), radio::MsgType::kReport);
 
   network.mote(NodeId{0}).broadcast(radio::MsgType::kHeartbeat,
                                     std::make_shared<JunkPayload>());
   network.mote(NodeId{0}).broadcast(radio::MsgType::kUser,
                                     std::make_shared<JunkPayload>());
   sim.run_for(Duration::seconds(1));
-  EXPECT_EQ(heartbeats, 1);
-  EXPECT_EQ(reports, 0);
+  EXPECT_EQ(heartbeats.frames, 1);
+  EXPECT_EQ(reports.frames, 0);
 }
 
 TEST_F(NodeTest, UnhandledFrameCostsNoCpu) {
@@ -150,8 +158,8 @@ TEST_F(NodeTest, UnhandledFrameCostsNoCpu) {
 
 TEST_F(NodeTest, HandledFrameCostsCpu) {
   MoteNetwork network(sim, medium, env, field);
-  network.mote(NodeId{1}).set_handler(radio::MsgType::kUser,
-                                      [](const radio::Frame&) {});
+  FrameCounter handler;
+  handler.listen(network.mote(NodeId{1}), radio::MsgType::kUser);
   network.mote(NodeId{0}).broadcast(radio::MsgType::kUser,
                                     std::make_shared<JunkPayload>());
   sim.run_for(Duration::seconds(1));
@@ -189,16 +197,13 @@ TEST_F(NodeTest, TimerCancellation) {
 
 TEST_F(NodeTest, DownMoteIsDeaf) {
   MoteNetwork network(sim, medium, env, field);
-  int received = 0;
-  network.mote(NodeId{1}).set_handler(radio::MsgType::kUser,
-                                      [&](const radio::Frame&) {
-                                        ++received;
-                                      });
+  FrameCounter received;
+  received.listen(network.mote(NodeId{1}), radio::MsgType::kUser);
   network.mote(NodeId{1}).set_down(true);
   network.mote(NodeId{0}).broadcast(radio::MsgType::kUser,
                                     std::make_shared<JunkPayload>());
   sim.run_for(Duration::seconds(1));
-  EXPECT_EQ(received, 0);
+  EXPECT_EQ(received.frames, 0);
 }
 
 TEST_F(NodeTest, DownMoteTimersDoNotFire) {

@@ -52,12 +52,8 @@ struct NoisyWorld {
 
   std::size_t established_leaders() {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < system->node_count(); ++i) {
-      auto& groups = system->stack(NodeId{i}).groups();
-      if (groups.role(0) == core::Role::kLeader &&
-          groups.leader_weight(0) >= 3) {
-        ++n;
-      }
+    for (const NodeId id : system->leaders(0)) {
+      if (system->stack(id).groups().leader_weight(0) >= 3) ++n;
     }
     return n;
   }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/system.hpp"
 #include "test_world.hpp"
 
@@ -109,6 +112,60 @@ TEST(SystemFacade, ObserversSeeEventsFromEveryMote) {
   world.run(5);
   EXPECT_GT(second_log.total(), 0u);
   EXPECT_EQ(second_log.total(), world.events().total());
+}
+
+/// A blob crossing the default world, with a second group observer
+/// attached or not: the events fired, and what each observer saw.
+struct ObservedRun {
+  std::size_t events_fired = 0;
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+};
+
+std::vector<std::string> lines_of(const metrics::EventLog& log) {
+  std::vector<std::string> out;
+  for (const core::GroupEvent& event : log.events()) {
+    out.push_back(event.to_string());
+  }
+  return out;
+}
+
+ObservedRun observed_run(const sim::KernelConfig& kernel,
+                         bool second_observer) {
+  TestWorld::Options options;
+  options.kernel = kernel;
+  TestWorld world(options);  // attaches the first observer
+  metrics::EventLog second;
+  if (second_observer) world.system().add_group_observer(&second);
+  world.add_moving_blob({0.0, 1.0}, {7.0, 1.0}, 1.0);
+  ObservedRun run;
+  run.events_fired = world.system().run_for(Duration::seconds(8));
+  run.first = lines_of(world.events());
+  run.second = lines_of(second);
+  return run;
+}
+
+/// Each group event is journaled as one op whatever the number of
+/// observers, so a second observer adds no simulated event, and both see
+/// the same events in the same order.
+void expect_second_observer_is_free(const sim::KernelConfig& kernel) {
+  const ObservedRun one = observed_run(kernel, false);
+  const ObservedRun two = observed_run(kernel, true);
+  ASSERT_FALSE(one.first.empty());
+  EXPECT_EQ(two.events_fired, one.events_fired);
+  EXPECT_EQ(two.first, one.first);
+  EXPECT_EQ(two.second, two.first);
+}
+
+TEST(SystemFacade, SecondGroupObserverAddsNoEvent) {
+  expect_second_observer_is_free(sim::KernelConfig{});
+}
+
+TEST(SystemFacade, SecondGroupObserverAddsNoEventOnParallelKernel) {
+  sim::KernelConfig kernel;
+  kernel.use_parallel_kernel = true;
+  kernel.threads = 2;
+  expect_second_observer_is_free(kernel);
 }
 
 TEST(SystemFacade, AggregationRegistryPreloaded) {

@@ -130,14 +130,7 @@ class TestWorld {
 
   /// Nodes currently leading the blob type.
   std::vector<NodeId> leaders(core::TypeIndex type = 0) {
-    std::vector<NodeId> out;
-    for (std::size_t i = 0; i < system_->node_count(); ++i) {
-      if (system_->stack(NodeId{i}).groups().role(type) ==
-          core::Role::kLeader) {
-        out.push_back(NodeId{i});
-      }
-    }
-    return out;
+    return system_->leaders(type);
   }
 
   std::vector<NodeId> members(core::TypeIndex type = 0) {
