@@ -32,9 +32,12 @@ struct GroupEvent {
   };
 
   Kind kind;
+  /// Beside `kind`, in its padding: the event is 56 B, so the op that
+  /// journals it (the event and the observer list) fits inline in an event
+  /// slot (GroupManager::emit).
+  TypeIndex type_index = 0;
   Time time;
   NodeId node;        // the node the event happened on
-  TypeIndex type_index = 0;
   LabelId label;      // the label involved
   NodeId peer;        // other party (new leader, suppressor), when relevant
   std::uint64_t weight = 0;

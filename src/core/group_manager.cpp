@@ -243,11 +243,18 @@ void GroupManager::emit(GroupEvent::Kind kind, TypeIndex type, LabelId label,
                         std::uint64_t epoch) {
   const std::vector<GroupObserver*>& observers = deployment_.group_observers;
   if (observers.empty()) return;
-  const GroupEvent event{kind,  mote_.now(), mote_.id(), type,
-                         label, peer,        weight,     epoch};
-  deployment_.master.post_op([&observers, n = observers.size(), event] {
-    for (std::size_t i = 0; i < n; ++i) observers[i]->on_group_event(event);
-  });
+  const GroupEvent event{kind,  type, mote_.now(), mote_.id(),
+                         label, peer, weight,      epoch};
+  // The op runs before any world event keyed after it, and only world
+  // context registers observers, so the list it reads is the one of the
+  // emit (DESIGN.md, "Observing a running deployment").
+  auto journal = [&observers, event] {
+    for (std::size_t i = 0; i < observers.size(); ++i) {
+      observers[i]->on_group_event(event);
+    }
+  };
+  static_assert(sim::Simulator::Callback::fits_inline<decltype(journal)>);
+  deployment_.master.post_op(std::move(journal));
 }
 
 bool GroupManager::is_sensing(TypeIndex type, Role role) const {

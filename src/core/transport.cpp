@@ -80,11 +80,14 @@ void Transport::emit(TransportEvent::Kind kind, LabelId dst_label,
   if (observers.empty()) return;
   const TransportEvent event{kind,   mote_.now(), mote_.id(), dst_label,
                              origin, seq,         attempt};
-  deployment.master.post_op([&observers, n = observers.size(), event] {
-    for (std::size_t i = 0; i < n; ++i) {
+  // As GroupManager::emit: the op reads the observers of the emit.
+  auto journal = [&observers, event] {
+    for (std::size_t i = 0; i < observers.size(); ++i) {
       observers[i]->on_transport_event(event);
     }
-  });
+  };
+  static_assert(sim::Simulator::Callback::fits_inline<decltype(journal)>);
+  deployment.master.post_op(std::move(journal));
 }
 
 void Transport::on_leader_observed(TypeIndex type, LabelId label,

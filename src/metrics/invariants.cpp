@@ -1,5 +1,7 @@
 #include "metrics/invariants.hpp"
 
+#include <algorithm>
+
 #include "util/log.hpp"
 
 namespace et::metrics {
@@ -22,8 +24,24 @@ constexpr Duration kHealSettle = Duration::seconds(2);
 /// couple of loss bursts. A *stale-incarnation resurrection* — the real
 /// bug — elects long after the winning side moved on, well outside this.
 constexpr Duration kEpochChurnWindow = Duration::seconds(3);
-/// Protocol events retained for violation traces.
-constexpr std::size_t kTraceDepth = 16;
+
+/// A traced event's line in a violation's trace.
+std::string trace_line(const core::GroupEvent& event) {
+  return event.to_string();
+}
+
+std::string trace_line(const core::TransportEvent& event) {
+  std::string line = event.time.to_string();
+  line += " node ";
+  line += std::to_string(event.node.value());
+  line += " mtp-";
+  line += core::transport_event_kind_name(event.kind);
+  line += " label ";
+  line += event.dst_label.to_string();
+  line += " seq ";
+  line += std::to_string(event.seq);
+  return line;
+}
 
 }  // namespace
 
@@ -61,9 +79,8 @@ InvariantOracle::InvariantOracle(core::EnviroTrackSystem& system,
       kCheckPeriod, kCheckPeriod, [this] { scan_leaders(); });
 }
 
-void InvariantOracle::push_trace(std::string line) {
-  trace_.push_back(std::move(line));
-  while (trace_.size() > kTraceDepth) trace_.pop_front();
+void InvariantOracle::push_trace(const TracedEvent& event) {
+  trace_[traced_++ % kTraceDepth] = event;
 }
 
 void InvariantOracle::record(InvariantViolation::Kind kind,
@@ -75,13 +92,19 @@ void InvariantOracle::record(InvariantViolation::Kind kind,
   violation.type_index = type;
   violation.label = label;
   violation.detail = std::move(detail);
-  violation.trace.assign(trace_.begin(), trace_.end());
+  const std::uint64_t depth = std::min<std::uint64_t>(traced_, kTraceDepth);
+  violation.trace.reserve(depth);
+  for (std::uint64_t n = traced_ - depth; n < traced_; ++n) {
+    violation.trace.push_back(std::visit(
+        [](const auto& event) { return trace_line(event); },
+        trace_[n % kTraceDepth]));
+  }
   ET_WARN(kComponent, "%s", violation.to_string().c_str());
   violations_.push_back(std::move(violation));
 }
 
 void InvariantOracle::on_group_event(const core::GroupEvent& event) {
-  push_trace(event.to_string());
+  push_trace(event);
 
   if (event.kind != core::GroupEvent::Kind::kBecameLeader) return;
   const std::uint64_t label = event.label.value();
@@ -123,16 +146,7 @@ void InvariantOracle::on_group_event(const core::GroupEvent& event) {
 
 void InvariantOracle::on_transport_event(const core::TransportEvent& event) {
   const NodeId node = event.node;
-  std::string line = event.time.to_string();
-  line += " node ";
-  line += std::to_string(node.value());
-  line += " mtp-";
-  line += core::transport_event_kind_name(event.kind);
-  line += " label ";
-  line += event.dst_label.to_string();
-  line += " seq ";
-  line += std::to_string(event.seq);
-  push_trace(std::move(line));
+  push_trace(event);
 
   switch (event.kind) {
     case core::TransportEvent::Kind::kDelivered: {

@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/system.hpp"
@@ -36,6 +36,8 @@
 ///
 /// Every violation captures a minimal trace — the most recent protocol
 /// events — so a failing chaos run points at the offending interleaving.
+/// The oracle keeps those events raw and formats them only when it records
+/// a violation, so an event that breaks nothing costs no string.
 namespace et::metrics {
 
 struct InvariantConfig {
@@ -89,10 +91,14 @@ class InvariantOracle final : public core::GroupObserver,
   std::string report() const;
 
  private:
+  /// Protocol events retained for violation traces.
+  static constexpr std::size_t kTraceDepth = 16;
+  using TracedEvent = std::variant<core::GroupEvent, core::TransportEvent>;
+
   void scan_leaders();
   void record(InvariantViolation::Kind kind, core::TypeIndex type,
               LabelId label, std::string detail);
-  void push_trace(std::string line);
+  void push_trace(const TracedEvent& event);
 
   core::EnviroTrackSystem& system_;
   InvariantConfig config_;
@@ -114,7 +120,10 @@ class InvariantOracle final : public core::GroupObserver,
   bool heal_seen_ = false;
   bool was_partitioned_ = false;
 
-  std::deque<std::string> trace_;
+  /// The last kTraceDepth events: event n sits at `trace_[n % kTraceDepth]`.
+  std::array<TracedEvent, kTraceDepth> trace_;
+  /// Events traced so far.
+  std::uint64_t traced_ = 0;
   std::vector<InvariantViolation> violations_;
   std::uint64_t checks_run_ = 0;
 };

@@ -48,10 +48,11 @@ void ShardedTrackStore::apply_locked(Shard& shard,
   entry.latest.time = report.time;
   entry.latest.epoch = report.epoch;
   entry.latest.seq++;
+  const Point point{report.position, report.time, report.epoch};
   if (entry.ring.size() < ring_capacity_) {
-    entry.ring.push_back(entry.latest);
+    entry.ring.push_back(point);
   } else {
-    entry.ring[entry.ring_start] = entry.latest;
+    entry.ring[entry.ring_start] = point;
     entry.ring_start = (entry.ring_start + 1) % ring_capacity_;
     shard.evicted++;
   }
@@ -110,11 +111,15 @@ std::vector<TrackSnapshot> ShardedTrackStore::history(LabelId label,
   if (it == shard.entries.end()) return out;
   const Entry& entry = it->second;
   const Time cutoff = entry.latest.time - window;
-  out.reserve(entry.ring.size());
-  for (std::size_t i = 0; i < entry.ring.size(); ++i) {
-    const TrackSnapshot& p =
-        entry.ring[(entry.ring_start + i) % entry.ring.size()];
-    if (p.time >= cutoff) out.push_back(p);
+  const std::size_t size = entry.ring.size();
+  const std::uint64_t first_seq = entry.latest.seq - size + 1;
+  out.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const Point& p = entry.ring[(entry.ring_start + i) % size];
+    if (p.time >= cutoff) {
+      out.push_back(
+          TrackSnapshot{label, p.position, p.time, p.epoch, first_seq + i});
+    }
   }
   return out;
 }

@@ -22,7 +22,9 @@
 /// whole history lives in one shard, so a query touches exactly one shard
 /// and ingest batches amortize one lock acquisition across all reports
 /// that hash to it). Each label keeps a latest-position snapshot slot,
-/// updated in place, plus a ring of recent points for history queries.
+/// updated in place, plus a ring of recent points for history queries. A
+/// ring point holds only what differs between points (32 B: position,
+/// time, epoch); history() rebuilds its label and seq from the entry.
 ///
 /// Concurrency contract: one writer (apply_batch, called from the ingest
 /// path) and any number of reader threads. Shards are guarded by
@@ -89,10 +91,21 @@ class ShardedTrackStore {
   StoreStats stats() const;
 
  private:
+  /// One history point. Its label is the entry's, and its seq follows
+  /// from its place in the ring: every report adds one point and bumps
+  /// `latest.seq`, so the i-th oldest of n points has seq
+  /// `latest.seq - n + 1 + i`.
+  struct Point {
+    Vec2 position;
+    Time time;
+    std::uint64_t epoch = 0;
+  };
+  static_assert(sizeof(Point) == 32);
+
   struct Entry {
     TrackSnapshot latest;
     /// Ring of recent points: `ring[(start + i) % cap]` for i < size.
-    std::vector<TrackSnapshot> ring;
+    std::vector<Point> ring;
     std::size_t ring_start = 0;
   };
 

@@ -5,17 +5,20 @@
 
 namespace et::sim {
 
-std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner,
+std::uint32_t EventQueue::alloc_slot(Callback&& fn, std::uint32_t fire_owner,
                                      Duration period) {
   std::uint32_t index;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    index = slot_count_++;
+    // The first slot of a chunk that does not exist yet: add the chunk.
+    if (place(index).offset == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(chunk_slots(chunks_.size())));
+    }
   }
-  Slot& slot = slots_[index];
+  Slot& slot = slot_at(index);
   assert(!is_live(slot.generation));
   ++slot.generation;
   slot.fn = std::move(fn);
@@ -27,21 +30,21 @@ std::uint32_t EventQueue::alloc_slot(Callback fn, std::uint32_t fire_owner,
 
 void EventQueue::push_entry(EventKey key, std::uint32_t slot) {
   const Entry entry{key.time, key.rank, key.seq, slot,
-                    slots_[slot].generation};
+                    slot_at(slot).generation};
   heap_.push(entry);
   if (key.rank == kWorldRank) world_heap_.push(entry);
 }
 
 EventHandle EventQueue::schedule_key(EventKey key, std::uint32_t fire_owner,
-                                     Callback fn, Duration period) {
+                                     Callback&& fn, Duration period) {
   assert(!period.is_negative());
   const std::uint32_t index = alloc_slot(std::move(fn), fire_owner, period);
   push_entry(key, index);
-  return EventHandle{alive_, this, index, slots_[index].generation};
+  return EventHandle{alive_, this, index, slot_at(index).generation};
 }
 
 void EventQueue::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
+  Slot& slot = slot_at(index);
   assert(is_live(slot.generation));
   slot.fn = nullptr;
   ++slot.generation;
@@ -60,7 +63,7 @@ void EventQueue::handle_cancel(std::uint32_t slot, std::uint32_t generation) {
 void EventQueue::skip_cancelled() const {
   while (!heap_.empty()) {
     const Entry& top = heap_.top();
-    if (slots_[top.slot].generation == top.generation) return;
+    if (slot_at(top.slot).generation == top.generation) return;
     heap_.pop();
   }
 }
@@ -86,7 +89,7 @@ EventKey EventQueue::next_key() const {
 Time EventQueue::next_world_time() const {
   while (!world_heap_.empty()) {
     const Entry& top = world_heap_.top();
-    if (slots_[top.slot].generation == top.generation) return top.time;
+    if (slot_at(top.slot).generation == top.generation) return top.time;
     world_heap_.pop();
   }
   return Time::max();
@@ -105,7 +108,7 @@ EventQueue::Fired EventQueue::pop() {
            world_heap_.top().generation == top.generation);
     world_heap_.pop();
   }
-  Slot& slot = slots_[top.slot];
+  Slot& slot = slot_at(top.slot);
   Fired fired{top.time,  top.rank,        top.seq,  slot.fire_owner,
               std::move(slot.fn), slot.period, top.slot, top.generation};
   if (!slot.period.is_positive()) release_slot(top.slot);
@@ -115,15 +118,15 @@ EventQueue::Fired EventQueue::pop() {
 void EventQueue::rearm(Fired&& fired, EventKey key) {
   assert(still_armed(fired) && fired.period.is_positive());
   assert(key.time > fired.time);
-  slots_[fired.slot].fn = std::move(fired.fn);
+  slot_at(fired.slot).fn = std::move(fired.fn);
   push_entry(key, fired.slot);
 }
 
 void EventQueue::clear() {
   while (!heap_.empty()) heap_.pop();
   while (!world_heap_.empty()) world_heap_.pop();
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (is_live(slots_[i].generation)) release_slot(i);
+  for (std::uint32_t i = 0; i < slot_count_; ++i) {
+    if (is_live(slot_at(i).generation)) release_slot(i);
   }
   assert(live_count_ == 0);
 }

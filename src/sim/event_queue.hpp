@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -21,7 +22,9 @@
 ///
 /// Storage is allocation-light: callbacks live in a slab of pooled slots
 /// (small closures inline, see util::InlineFunction) addressed by
-/// {index, generation} handles; the heap orders plain POD entries.
+/// {index, generation} handles; the heap orders plain POD entries. The slab
+/// is a list of chunks that never move: a slot is placed once, and growing
+/// the slab adds a chunk instead of copying the slots it has.
 /// Cancellation is O(1) — it releases the slot and bumps its generation, so
 /// the stale heap entry and any stale handles are recognised and skipped.
 /// A periodic event is an ordinary slot that stays reserved while its
@@ -92,8 +95,9 @@ class EventQueue {
   /// the executing owner. World-ranked keys are additionally indexed for
   /// next_world_time(). A positive `period` makes the event periodic: pop()
   /// keeps its slot, and rearm() puts it back once its callback returned.
+  /// `fn` is moved once, into its slot.
   EventHandle schedule_key(EventKey key, std::uint32_t fire_owner,
-                           Callback fn, Duration period = Duration::zero());
+                           Callback&& fn, Duration period = Duration::zero());
 
   bool empty() const;
   std::size_t size() const { return live_count_; }
@@ -143,8 +147,8 @@ class EventQueue {
   /// Drops every pending event (and invalidates their handles).
   void clear();
 
-  /// Slots currently allocated in the slab (capacity watermark, for tests).
-  std::size_t slot_capacity() const { return slots_.size(); }
+  /// Slots handed out so far (the slab's watermark, for tests).
+  std::size_t slot_capacity() const { return slot_count_; }
 
  private:
   friend class EventHandle;
@@ -173,14 +177,52 @@ class EventQueue {
     Duration period;
   };
 
+  /// Slab chunks hold 64, 128, ..., 4,096 slots, then 4,096 each: a small
+  /// queue stays small, and a large one wastes at most one chunk of slots
+  /// where doubling would leave up to half the slab unused.
+  static constexpr std::uint32_t kFirstChunkSlots = 64;
+  static constexpr std::uint32_t kMaxChunkSlots = 4096;
+  /// The chunks that double (seven), and the slots they hold (8,128).
+  static constexpr std::uint32_t kDoublingChunks =
+      std::bit_width(kMaxChunkSlots / kFirstChunkSlots);
+  static constexpr std::uint32_t kDoublingSlots =
+      kFirstChunkSlots * ((1u << kDoublingChunks) - 1);
+
+  static constexpr std::uint32_t chunk_slots(std::size_t chunk) {
+    return chunk < kDoublingChunks ? kFirstChunkSlots << chunk
+                                   : kMaxChunkSlots;
+  }
+  /// The chunk holding slot `index`, and the slot's place in it.
+  struct SlotPlace {
+    std::uint32_t chunk;
+    std::uint32_t offset;
+  };
+  static constexpr SlotPlace place(std::uint32_t index) {
+    if (index < kDoublingSlots) {
+      const auto chunk = static_cast<std::uint32_t>(
+          std::bit_width(index / kFirstChunkSlots + 1) - 1);
+      return {chunk, index - kFirstChunkSlots * ((1u << chunk) - 1)};
+    }
+    const std::uint32_t rest = index - kDoublingSlots;
+    return {kDoublingChunks + rest / kMaxChunkSlots, rest % kMaxChunkSlots};
+  }
+  Slot& slot_at(std::uint32_t index) {
+    const SlotPlace p = place(index);
+    return chunks_[p.chunk][p.offset];
+  }
+  const Slot& slot_at(std::uint32_t index) const {
+    const SlotPlace p = place(index);
+    return chunks_[p.chunk][p.offset];
+  }
+
   static bool is_live(std::uint32_t generation) { return generation & 1u; }
 
   bool handle_pending(std::uint32_t slot, std::uint32_t generation) const {
-    return slot < slots_.size() && slots_[slot].generation == generation;
+    return slot < slot_count_ && slot_at(slot).generation == generation;
   }
   void handle_cancel(std::uint32_t slot, std::uint32_t generation);
 
-  std::uint32_t alloc_slot(Callback fn, std::uint32_t fire_owner,
+  std::uint32_t alloc_slot(Callback&& fn, std::uint32_t fire_owner,
                            Duration period);
   /// Queues a heap entry (and a world-index entry) for `slot` at `key`.
   void push_entry(EventKey key, std::uint32_t slot);
@@ -199,7 +241,9 @@ class EventQueue {
   /// bookkeeping here. pop() removes a fired event's entry, because a
   /// periodic event keeps its slot and generation.
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> world_heap_;
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Slots handed out: indices below it are in use or on free_slots_.
+  std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
   /// Expires with the queue; handles check it before dereferencing queue_.

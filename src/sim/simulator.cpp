@@ -93,35 +93,35 @@ std::uint64_t Simulator::alloc_seq_block(std::uint32_t rank,
 }
 
 EventHandle Simulator::schedule_as(std::uint32_t owner, Time at,
-                                   Callback fn, Duration period) {
+                                   Callback&& fn, Duration period) {
   assert(!(forbid_world_rank_ && owner == kWorldRank));
   Simulator& eng = g_engine ? *g_engine : *this;
   const EventKey key = eng.make_key(at, owner);
   return queue_.schedule_key(key, owner, std::move(fn), period);
 }
 
-EventHandle Simulator::schedule(Duration delay, Callback fn) {
+EventHandle Simulator::schedule(Duration delay, Callback&& fn) {
   assert(!delay.is_negative());
   Simulator& eng = g_engine ? *g_engine : *this;
   return schedule_as(eng.executing_owner_, eng.now_ + delay,
                             std::move(fn));
 }
 
-EventHandle Simulator::schedule_at(Time at, Callback fn) {
+EventHandle Simulator::schedule_at(Time at, Callback&& fn) {
   Simulator& eng = g_engine ? *g_engine : *this;
   assert(at >= eng.now_);
   return schedule_as(eng.executing_owner_, at, std::move(fn));
 }
 
 EventHandle Simulator::schedule_owned(std::uint32_t owner, Duration delay,
-                                      Callback fn) {
+                                      Callback&& fn) {
   assert(!delay.is_negative());
   Simulator& eng = g_engine ? *g_engine : *this;
   return schedule_as(owner, eng.now_ + delay, std::move(fn));
 }
 
 EventHandle Simulator::schedule_at_key(EventKey key, std::uint32_t fire_owner,
-                                       Callback fn) {
+                                       Callback&& fn) {
   assert(!(forbid_world_rank_ && key.rank == kWorldRank));
   // A key at or below the processed bound is an insertion into this
   // engine's executed past — a conservative-window violation if it ever
@@ -132,7 +132,7 @@ EventHandle Simulator::schedule_at_key(EventKey key, std::uint32_t fire_owner,
 }
 
 EventHandle Simulator::schedule_periodic(Duration first_delay, Duration period,
-                                         Callback fn) {
+                                         Callback&& fn) {
   Simulator& eng = g_engine ? *g_engine : *this;
   return schedule_periodic_owned(eng.executing_owner_, first_delay, period,
                                  std::move(fn));
@@ -140,7 +140,7 @@ EventHandle Simulator::schedule_periodic(Duration first_delay, Duration period,
 
 EventHandle Simulator::schedule_periodic_owned(std::uint32_t owner,
                                                Duration first_delay,
-                                               Duration period, Callback fn) {
+                                               Duration period, Callback&& fn) {
   assert(period.is_positive() && !first_delay.is_negative());
   Simulator& eng = g_engine ? *g_engine : *this;
   return schedule_as(owner, eng.now_ + first_delay, std::move(fn), period);
@@ -156,16 +156,16 @@ void Simulator::rearm(EventQueue::Fired& fired) {
   queue_.rearm(std::move(fired), key);
 }
 
-void Simulator::post_op(Callback fn) {
+void Simulator::post_op(Callback&& fn) {
   post_op_impl(Duration::zero(), /*is_send=*/false, std::move(fn));
 }
 
-void Simulator::post_radio_op(Duration entry_delay, Callback fn) {
+void Simulator::post_radio_op(Duration entry_delay, Callback&& fn) {
   assert(!entry_delay.is_negative());
   post_op_impl(entry_delay, /*is_send=*/true, std::move(fn));
 }
 
-void Simulator::post_op_impl(Duration delay, bool is_send, Callback fn) {
+void Simulator::post_op_impl(Duration delay, bool is_send, Callback&& fn) {
   Simulator& eng = g_engine ? *g_engine : *this;
   const std::uint32_t owner = eng.executing_owner_;
   const EventKey key = eng.make_key(eng.now_ + delay, owner);
@@ -174,7 +174,11 @@ void Simulator::post_op_impl(Duration delay, bool is_send, Callback fn) {
     // window barrier. Key order == issue order (sends shifted by the same
     // MAC-handoff everywhere), so the replayed execution order matches the
     // serial engine exactly.
-    g_outbox->push_back(PendingOp{key, owner, std::move(fn), is_send});
+    PendingOp& op = g_outbox->emplace_back();
+    op.key = key;
+    op.fire_owner = owner;
+    op.fn = std::move(fn);
+    op.is_send = is_send;
   } else {
     // Master/setup context: radio ops skip the outbox, so the kernel's
     // pending-send tracking is fed through the hook instead.

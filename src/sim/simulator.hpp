@@ -97,7 +97,9 @@ class ExecutingOwnerScope {
 class Simulator {
  public:
   /// Move-only small-buffer callback (see EventQueue::Callback); any
-  /// lambda or `std::function` converts implicitly.
+  /// lambda or `std::function` converts implicitly. Every call below takes
+  /// it by rvalue reference, so a callable is moved twice on its way into
+  /// the queue: into the Callback made at the call site, then into its slot.
   using Callback = EventQueue::Callback;
 
   /// `register_log_clock = false` skips installing this simulator as the
@@ -146,15 +148,15 @@ class Simulator {
   /// Schedules `fn` to run after `delay` (>= 0) of virtual time. The event
   /// is owned by the currently executing owner (events inherit their
   /// scheduler's owner).
-  EventHandle schedule(Duration delay, Callback fn);
+  EventHandle schedule(Duration delay, Callback&& fn);
 
   /// Schedules `fn` at an absolute virtual time (>= now()).
-  EventHandle schedule_at(Time at, Callback fn);
+  EventHandle schedule_at(Time at, Callback&& fn);
 
   /// Schedules `fn` with an explicit owner rank (mote timers stamp their
   /// mote id, medium internals stamp kChannelRank).
   EventHandle schedule_owned(std::uint32_t owner, Duration delay,
-                             Callback fn);
+                             Callback&& fn);
 
   /// Schedules `fn` every `period`, starting after `first_delay`. The
   /// returned handle cancels every future firing, also from inside `fn`.
@@ -163,15 +165,15 @@ class Simulator {
   /// there would, and is owned by the firing event's owner — `owner`, or
   /// the scheduling owner for the unstamped overload.
   EventHandle schedule_periodic(Duration first_delay, Duration period,
-                                Callback fn);
+                                Callback&& fn);
   EventHandle schedule_periodic_owned(std::uint32_t owner,
                                       Duration first_delay, Duration period,
-                                      Callback fn);
+                                      Callback&& fn);
 
   /// Inserts an event at a pre-assigned canonical key (op replay, and the
   /// medium's reception handoffs into the receiver's engine).
   EventHandle schedule_at_key(EventKey key, std::uint32_t fire_owner,
-                              Callback fn);
+                              Callback&& fn);
 
   /// Allocates `count` consecutive sequence numbers for `rank` and returns
   /// the first. The medium pre-assigns one per delivery candidate so the
@@ -188,13 +190,13 @@ class Simulator {
   /// receiver toggles, metrics journaling) stay deterministic and
   /// thread-confined under the parallel kernel. The op runs as an event of
   /// its own, never inline.
-  void post_op(Callback fn);
+  void post_op(Callback&& fn);
 
   /// post_op() for radio-entry side effects: the op is keyed `entry_delay`
   /// after the ambient now (the MAC-handoff latency) and marked `is_send`,
   /// so the parallel kernel's window planner can treat it as a
   /// pending-transmission constraint source.
-  void post_radio_op(Duration entry_delay, Callback fn);
+  void post_radio_op(Duration entry_delay, Callback&& fn);
 
   /// Master-side notification for radio ops that bypass the tile outboxes
   /// (sends issued from world/setup context). The parallel kernel installs
@@ -278,12 +280,12 @@ class Simulator {
   /// key that would not sort strictly after the engine's processed bound is
   /// moved to bound.time + 1us. Consumes the owner's sequence counter.
   EventKey make_key(Time at, std::uint32_t owner);
-  EventHandle schedule_as(std::uint32_t owner, Time at, Callback fn,
+  EventHandle schedule_as(std::uint32_t owner, Time at, Callback&& fn,
                           Duration period = Duration::zero());
   /// Puts a periodic event back after its callback returned, unless the
   /// callback cancelled it.
   void rearm(EventQueue::Fired& fired);
-  void post_op_impl(Duration delay, bool is_send, Callback fn);
+  void post_op_impl(Duration delay, bool is_send, Callback&& fn);
   /// Fires events in key order while the next key is <= `bound`.
   std::size_t run_loop(EventKey bound);
 

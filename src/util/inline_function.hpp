@@ -28,11 +28,6 @@ class InlineFunction {
   };
 
   template <typename F>
-  static constexpr bool fits_inline =
-      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<F>;
-
-  template <typename F>
   struct InlineOps {
     static F* get(void* s) { return std::launder(reinterpret_cast<F*>(s)); }
     static void invoke(void* s) { (*get(s))(); }
@@ -58,6 +53,12 @@ class InlineFunction {
   };
 
  public:
+  /// True when a callable of type `F` is stored inline (no heap cell).
+  template <typename F>
+  static constexpr bool fits_inline =
+      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 

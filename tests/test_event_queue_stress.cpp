@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "move_counter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -278,6 +279,37 @@ TEST(EventQueueStress, ClearStopsPeriodicEvents) {
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.next_world_time(), Time::max());
   EXPECT_EQ(ticks, 1);
+}
+
+TEST(EventQueueStress, PendingCallablesStayPutWhileTheSlabGrows) {
+  // Four callables wait in the slab's first chunk while 5,000 more events
+  // fill six more chunks: growing the slab adds chunks and never moves a
+  // slot, so none of the four is moved again, and each fires intact.
+  sim::EventQueue queue;
+  constexpr std::uint64_t kWaiting = 4;
+  int moves[kWaiting] = {};
+  std::uint64_t ran_with[kWaiting] = {};
+  for (std::uint64_t k = 0; k < kWaiting; ++k) {
+    schedule_at(queue, Time::seconds(100 + static_cast<double>(k)),
+                testing::MoveCounter{&moves[k], &ran_with[k], 1000 + k});
+  }
+  int moves_when_placed[kWaiting];
+  for (std::uint64_t k = 0; k < kWaiting; ++k) {
+    moves_when_placed[k] = moves[k];
+  }
+
+  for (int i = 0; i < 5000; ++i) {
+    schedule_at(queue, Time::seconds(1) + Duration::micros(i), [] {});
+  }
+  EXPECT_EQ(queue.slot_capacity(), 5004u);
+  for (std::uint64_t k = 0; k < kWaiting; ++k) {
+    EXPECT_EQ(moves[k], moves_when_placed[k]) << "callable " << k;
+  }
+
+  while (!queue.empty()) queue.pop().fn();
+  for (std::uint64_t k = 0; k < kWaiting; ++k) {
+    EXPECT_EQ(ran_with[k], 1000 + k) << "callable " << k;
+  }
 }
 
 TEST(EventQueueStress, SimulatorCancellationHeavyTimerChurn) {

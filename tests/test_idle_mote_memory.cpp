@@ -148,7 +148,7 @@ void expect_budget(const Footprint& footprint,
 
 TEST(IdleMoteMemory, SerialKernel) {
   const Footprint footprint = measure({});
-  expect_budget(footprint, 826.5);
+  expect_budget(footprint, 767.3);
   // The target this layout was built for.
   EXPECT_LE(footprint.bytes_per_mote, 1000.0);
 }

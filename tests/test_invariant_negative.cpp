@@ -66,9 +66,9 @@ TEST(InvariantNegative, InjectedEpochRegressionTripsExactlyThat) {
 
   const auto became_leader = [&](NodeId node, std::uint64_t epoch) {
     core::GroupEvent event{core::GroupEvent::Kind::kBecameLeader,
+                           0,
                            world.sim().now(),
                            node,
-                           0,
                            label,
                            NodeId{},
                            0,

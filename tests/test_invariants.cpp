@@ -37,9 +37,9 @@ TransportEvent delivered(TestWorld& world, NodeId node, LabelId label,
 GroupEvent became_leader(TestWorld& world, NodeId node, LabelId label,
                          std::uint64_t epoch) {
   GroupEvent event{GroupEvent::Kind::kBecameLeader,
+                   0,
                    world.sim().now(),
                    node,
-                   0,
                    label,
                    NodeId{},
                    0,
@@ -176,6 +176,68 @@ TEST(Invariants, EpochRegressionSuppressedWhilePartitioned) {
   oracle.on_group_event(became_leader(world, NodeId{6}, label, 3));
   EXPECT_FALSE(oracle.ok())
       << "a stale takeover on a settled, whole network is a real bug";
+}
+
+TEST(Invariants, ViolationTraceKeepsTheLastSixteenEventsInOrder) {
+  // Eighteen scripted events end in a duplicate delivery. The violation's
+  // trace is the last sixteen of them, oldest first, each line in the
+  // oracle's trace format (group events as GroupEvent::to_string).
+  TestWorld world(transport_options());
+  InvariantOracle oracle(world.system());
+  const LabelId label = LabelId::make(NodeId{1}, 1);
+  // Times in microseconds.
+  const auto group = [&](GroupEvent::Kind kind, std::int64_t at,
+                         std::uint64_t node, std::uint64_t epoch = 0) {
+    oracle.on_group_event(GroupEvent{kind, 0, Time::micros(at), NodeId{node},
+                                     label, NodeId{}, 0, epoch});
+  };
+  const auto transport = [&](TransportEvent::Kind kind, std::int64_t at,
+                             std::uint64_t node, std::uint32_t seq) {
+    oracle.on_transport_event(TransportEvent{
+        kind, Time::micros(at), NodeId{node}, label, NodeId{2}, seq, 1});
+  };
+  using G = GroupEvent::Kind;
+  using T = TransportEvent::Kind;
+  group(G::kLabelCreated, 750, 1);
+  group(G::kBecameLeader, 750, 1, 1);
+  group(G::kJoined, 1'500, 2);
+  transport(T::kSend, 2'000, 2, 7);
+  transport(T::kRetransmit, 200'000, 2, 7);
+  transport(T::kDelivered, 210'000, 1, 7);
+  transport(T::kAcked, 220'000, 2, 7);
+  group(G::kLeft, 1'250'000, 2);
+  group(G::kTakeover, 2'500'000, 3);
+  group(G::kLostLeadership, 2'500'000, 1);
+  group(G::kYield, 3'000'000, 4);
+  group(G::kRelinquish, 3'500'000, 3);
+  group(G::kLabelSuppressed, 4'000'000, 4);
+  group(G::kFenced, 4'500'000, 5);
+  transport(T::kDuplicate, 5'000'000, 1, 7);
+  transport(T::kFailed, 6'000'000, 2, 8);
+  transport(T::kResolveFailed, 6'500'000, 2, 9);
+  ASSERT_TRUE(oracle.ok()) << oracle.report();
+  transport(T::kDelivered, 7'000'000, 1, 7);
+
+  ASSERT_EQ(oracle.violations().size(), 1u);
+  const std::vector<std::string> expected = {
+      "1.500ms node 2 joined label 4294967297",
+      "2.000ms node 2 mtp-send label 4294967297 seq 7",
+      "200.000ms node 2 mtp-retransmit label 4294967297 seq 7",
+      "210.000ms node 1 mtp-delivered label 4294967297 seq 7",
+      "220.000ms node 2 mtp-acked label 4294967297 seq 7",
+      "1.250s node 2 left label 4294967297",
+      "2.500s node 3 takeover label 4294967297",
+      "2.500s node 1 lost-leadership label 4294967297",
+      "3.000s node 4 yield label 4294967297",
+      "3.500s node 3 relinquish label 4294967297",
+      "4.000s node 4 label-suppressed label 4294967297",
+      "4.500s node 5 fenced label 4294967297",
+      "5.000s node 1 mtp-duplicate label 4294967297 seq 7",
+      "6.000s node 2 mtp-failed label 4294967297 seq 8",
+      "6.500s node 2 mtp-resolve-failed label 4294967297 seq 9",
+      "7.000s node 1 mtp-delivered label 4294967297 seq 7",
+  };
+  EXPECT_EQ(oracle.violations().front().trace, expected);
 }
 
 }  // namespace

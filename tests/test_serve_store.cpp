@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "metrics/track_decode.hpp"
@@ -113,6 +116,70 @@ TEST(ServeStore, InterleavedLabelsKeepBatchOrder) {
     EXPECT_EQ(store.latest(label)->seq, 8u);
   }
   EXPECT_EQ(store.stats().reports_applied, 32u);
+}
+
+/// A snapshot as comparable fields: label, position, time, epoch, seq.
+using SnapshotFields =
+    std::tuple<std::uint64_t, double, double, std::int64_t, std::uint64_t,
+               std::uint64_t>;
+
+SnapshotFields fields(const serve::TrackSnapshot& s) {
+  return {s.label.value(), s.position.x, s.position.y, s.time.to_micros(),
+          s.epoch,         s.seq};
+}
+
+TEST(ServeStore, HistoryRebuildsEveryPointFromAReference) {
+  // History points keep position, time and epoch; history() rebuilds each
+  // one's label and seq. Five interleaved labels get 3 x capacity reports
+  // each, in batches that straddle labels and shards; after every batch,
+  // every label's history, whole and windowed, must equal the snapshots a
+  // reference built from the applied reports.
+  constexpr std::uint64_t kLabels = 5;
+  constexpr std::size_t kBatch = 13;
+  for (const std::size_t capacity : {1, 7, 256}) {
+    SCOPED_TRACE("ring capacity " + std::to_string(capacity));
+    serve::StoreConfig config;
+    config.shard_count = 4;
+    config.ring_capacity = capacity;
+    serve::ShardedTrackStore store(config);
+    std::map<std::uint64_t, std::vector<serve::TrackSnapshot>> applied;
+
+    const std::uint64_t total = kLabels * 3 * capacity;
+    std::vector<metrics::DecodedTrack> batch;
+    for (std::uint64_t n = 0; n < total; ++n) {
+      const LabelId label = LabelId::make(NodeId{n % kLabels}, 3);
+      const double at = static_cast<double>(n) / 100.0;
+      batch.push_back(report(label, static_cast<double>(n),
+                             static_cast<double>(n % 11), at, 1 + n / 17));
+      std::vector<serve::TrackSnapshot>& reports = applied[label.value()];
+      reports.push_back(serve::TrackSnapshot{
+          label, batch.back().position, batch.back().time,
+          batch.back().epoch, reports.size() + 1});
+      if (batch.size() < kBatch && n + 1 < total) continue;
+      store.apply_batch(batch);
+      batch.clear();
+
+      for (const auto& [value, points] : applied) {
+        const LabelId label_k{value};
+        const std::size_t kept = std::min(points.size(), capacity);
+        for (const Duration window :
+             {Duration::seconds(1000), Duration::millis(200)}) {
+          const Time cutoff = points.back().time - window;
+          std::vector<SnapshotFields> expected;
+          for (std::size_t i = points.size() - kept; i < points.size(); ++i) {
+            if (points[i].time >= cutoff) expected.push_back(fields(points[i]));
+          }
+          std::vector<SnapshotFields> got;
+          for (const serve::TrackSnapshot& s : store.history(label_k, window)) {
+            got.push_back(fields(s));
+          }
+          ASSERT_EQ(got, expected) << "label " << value << " after report "
+                                   << n << ", window " << window.to_string();
+        }
+      }
+    }
+    EXPECT_EQ(store.stats().points_evicted, total - kLabels * capacity);
+  }
 }
 
 TEST(ServeStore, RegionQueryFiltersAndSortsByLabel) {

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "move_counter.hpp"
+
 namespace et::sim {
 namespace {
 
@@ -238,6 +240,28 @@ TEST(Simulator, MakeRngIsDeterministic) {
   Rng ra = a.make_rng("x");
   Rng rb = b.make_rng("x");
   for (int i = 0; i < 10; ++i) EXPECT_EQ(ra.next_u64(), rb.next_u64());
+}
+
+TEST(Simulator, SchedulingMovesACallableAtMostTwice) {
+  // Into the Callback made at the call site, then into its slot: the
+  // schedule calls pass the Callback on by reference.
+  Simulator sim;
+  int moves[4] = {};
+  std::uint64_t ran_with[4] = {};
+  sim.schedule(Duration::seconds(1),
+               testing::MoveCounter{&moves[0], &ran_with[0], 10});
+  sim.schedule_owned(3, Duration::seconds(1),
+                     testing::MoveCounter{&moves[1], &ran_with[1], 11});
+  sim.schedule_periodic_owned(
+      3, Duration::seconds(1), Duration::seconds(5),
+      testing::MoveCounter{&moves[2], &ran_with[2], 12});
+  sim.post_op(testing::MoveCounter{&moves[3], &ran_with[3], 13});
+  for (int k = 0; k < 4; ++k) EXPECT_LE(moves[k], 2) << "call " << k;
+
+  sim.run_until(Time::seconds(2));
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(ran_with[k], 10 + k) << "call " << k;
+  }
 }
 
 TEST(Simulator, ScheduleAtAbsoluteTime) {

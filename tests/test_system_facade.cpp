@@ -168,6 +168,45 @@ TEST(SystemFacade, SecondGroupObserverAddsNoEventOnParallelKernel) {
   expect_second_observer_is_free(kernel);
 }
 
+/// A world event at 4 s registers a second group observer mid-run. Every
+/// journaling op is keyed at its emit's time and mote rank, so the ops of
+/// events emitted up to 4 s run before the registration, and the second
+/// observer sees exactly the events emitted after it, in the first one's
+/// order.
+void expect_mid_run_observer_sees_later_events(
+    const sim::KernelConfig& kernel) {
+  TestWorld::Options options;
+  options.kernel = kernel;
+  TestWorld world(options);
+  metrics::EventLog second;
+  const Time registered_at = Time::seconds(4);
+  world.sim().schedule_at(registered_at, [&] {
+    world.system().add_group_observer(&second);
+  });
+  world.add_moving_blob({0.0, 1.0}, {7.0, 1.0}, 1.0);
+  world.system().run_for(Duration::seconds(8));
+
+  std::vector<std::string> later;
+  for (const core::GroupEvent& event : world.events().events()) {
+    if (event.time > registered_at) later.push_back(event.to_string());
+  }
+  ASSERT_FALSE(later.empty());
+  ASSERT_LT(later.size(), world.events().total())
+      << "events were emitted before the registration too";
+  EXPECT_EQ(lines_of(second), later);
+}
+
+TEST(SystemFacade, ObserverAddedByAWorldEventSeesOnlyLaterEvents) {
+  expect_mid_run_observer_sees_later_events(sim::KernelConfig{});
+}
+
+TEST(SystemFacade, ObserverAddedByAWorldEventSeesOnlyLaterEventsInParallel) {
+  sim::KernelConfig kernel;
+  kernel.use_parallel_kernel = true;
+  kernel.threads = 2;
+  expect_mid_run_observer_sees_later_events(kernel);
+}
+
 TEST(SystemFacade, AggregationRegistryPreloaded) {
   sim::Simulator sim(1);
   env::Environment environment(sim.make_rng("env"));

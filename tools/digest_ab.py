@@ -3,6 +3,7 @@
 
     python3 tools/digest_ab.py --base ../parent --head . --seeds 11 12 [--jobs 2]
     python3 tools/digest_ab.py --base ../parent --head . --outputs [--jobs 2]
+    python3 tools/digest_ab.py --base ../parent --head . --serve [--seeds 11 12]
 
 With --seeds, builds bench/perf's `etbench` for two source trees (each under
 its own `.bench_build/perf/`, as bench/perf/run.py does) and runs `etbench
@@ -19,6 +20,16 @@ examples/fire_monitoring, the verdicts of `ctest -R '^ChaosCorpus'`, and
 `chaos_fuzz --seed 1`'s per-trial verdict lines with wall-clock fields
 masked. Exit codes are part of each compared output.
 
+With --serve, builds `etbench` for both trees as --seeds does and, for each
+seed (11, 12 and 13 unless --seeds is given), runs `etbench serve read_heavy`
+and `etbench serve write_heavy --seconds 3` on each tree, one run at a time,
+alternating which tree goes first. It prints each run's peak RSS, store fill
+time (`setup.store_fill_s`) and ingest rate (`serve.ingest_rps`), then each
+tree's medians: a store change sees the store phase's memory and the closed-
+loop writer's rate (which sizes the serve phase's own buffers) before the
+full benchmark. Nothing is compared for equality; the exit is 1 when any run
+reports a failed operation.
+
 Prints one line per run or output, and exits 0 when everything matches, 1 on
 any difference, 2 on a build or usage error.
 """
@@ -27,6 +38,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -129,6 +141,59 @@ def compare_sims(args):
                       f"{rss}", flush=True)
     print(f"{len(cases) - mismatches} of {len(cases)} runs identical")
     return mismatches
+
+
+SERVE_RUNS = (("read_heavy", ()), ("write_heavy", ("--seconds", "3")))
+SERVE_SEEDS = (11, 12, 13)
+
+
+def run_serve(binary, mix, extra, seed):
+    """Runs one untraced `etbench serve`; returns (failed ops, metrics)."""
+    cmd = [str(binary), "serve", mix, "--seed", str(seed), "--trace", "0",
+           *extra]
+    try:
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise ToolError(f"{' '.join(cmd)}: timed out")
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise ToolError(f"{' '.join(cmd)}: exit {proc.returncode}")
+    result = json.loads(lines[-1])
+    return result["failed"], result["metrics"]
+
+
+def serve_line(metrics):
+    return (f"peak RSS {metrics['peak_rss_mb']:.1f} MB, store fill "
+            f"{metrics['setup.store_fill_s'] * 1e3:.1f} ms, ingest "
+            f"{metrics['serve.ingest_rps'] / 1e6:.2f} M reports/s")
+
+
+def compare_serve(args):
+    """The --serve mode; returns the number of failed operations."""
+    build_jobs = min(4, os.cpu_count() or 1)
+    binaries = {"base": build(args.base, build_jobs),
+                "head": build(args.head, build_jobs)}
+    runs = {(mix, side): [] for mix, _ in SERVE_RUNS for side in binaries}
+    failed = 0
+    for i, seed in enumerate(args.seeds or SERVE_SEEDS):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for mix, extra in SERVE_RUNS:
+            for side in order:
+                fails, metrics = run_serve(binaries[side], mix, extra, seed)
+                failed += fails
+                runs[(mix, side)].append(metrics)
+                note = f"; {fails} failed operations" if fails else ""
+                print(f"{mix:<11} seed {seed} {side}: {serve_line(metrics)}"
+                      f"{note}", flush=True)
+    for (mix, side), samples in runs.items():
+        medians = {name: statistics.median(m[name] for m in samples)
+                   for name in ("peak_rss_mb", "setup.store_fill_s",
+                                "serve.ingest_rps")}
+        print(f"median {mix:<11} {side}: {serve_line(medians)}")
+    print(f"{failed} failed operations")
+    return failed
 
 
 FIGURE_BENCHES = ("fig3_trajectory", "fig4_handover", "fig5_timers",
@@ -262,24 +327,35 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="source tree A")
     parser.add_argument("--head", required=True, help="source tree B")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--seeds", type=int, nargs="+",
-                      help="compare etbench sim runs at these seeds")
+    parser.add_argument("--seeds", type=int, nargs="+",
+                        help="compare etbench sim runs at these seeds "
+                        "(with --serve: the serve runs' seeds)")
+    mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--outputs", action="store_true",
                       help="compare the tier-1 benches' and tools' outputs")
+    mode.add_argument("--serve", action="store_true",
+                      help="report both trees' serve-phase memory and rates")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="runs in flight at once")
+                        help="runs in flight at once (--seeds, --outputs)")
     args = parser.parse_args()
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.outputs and args.seeds:
+        parser.error("--outputs takes no --seeds")
+    if not (args.outputs or args.serve or args.seeds):
+        parser.error("give --seeds, --outputs or --serve")
 
     try:
-        mismatches = compare_outputs(args) if args.outputs else \
-            compare_sims(args)
+        if args.serve:
+            problems = compare_serve(args)
+        elif args.outputs:
+            problems = compare_outputs(args)
+        else:
+            problems = compare_sims(args)
     except ToolError as err:
         log(str(err))
         return 2
-    return 1 if mismatches else 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
